@@ -2,18 +2,18 @@
 
 Each step replaces the current iterate with the component-wise majority vote
 of its k1 nearest dataset points (ties keep the current iterate's bit, which
-makes fixed points stable).
+makes fixed points stable). `ascend_all` is the one engine: it steps every
+candidate's ascent together, in rounds, on the shared blocked Hamming top-k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .binvec import BinaryVector, DimensionMismatch, pack_bits
+from .binvec import BinaryVector, DimensionMismatch, hamming_topk, pack_bits, row_blocks
 from .ingest import Dataset
-from .knn import knn_indices
 
 FIXED_POINT = "fixed_point"
 MAX_ITERATIONS = "max_iterations"
@@ -50,12 +50,19 @@ class AscentTrajectory:
         return self.iterates[-1]
 
 
-def _step_bits(data: Dataset, x_bits: np.ndarray, k1: int) -> np.ndarray:
-    idx = knn_indices(data, pack_bits(x_bits), k1)
-    ones = data.bits[idx].sum(axis=0, dtype=np.int64)
-    out = np.where(2 * ones > k1, 1, 0).astype(np.uint8)
-    tied = 2 * ones == k1
-    out[tied] = x_bits[tied]
+def _check_k1(data: Dataset, k1: int) -> None:
+    if not 1 <= k1 <= data.n:
+        raise ValueError(f"k1 must be in [1, {data.n}], got {k1}")
+
+
+def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
+    """One median-shift step for every row of the (m, d) bit matrix x."""
+    idx, _ = hamming_topk(pack_bits(x), data.packed, k1)
+    out = np.empty_like(x)
+    # per row: k1 * d neighbor bits gathered, d int64 vote counts
+    for sl in row_blocks(len(x), (k1 + 8) * data.d):
+        twice = 2 * data.bits[idx[sl]].sum(axis=1, dtype=np.int64)
+        out[sl] = np.where(twice == k1, x[sl], twice > k1)
     return out
 
 
@@ -63,57 +70,57 @@ def median_shift_step(data: Dataset, x: BinaryVector, k1: int) -> BinaryVector:
     """Majority vote of the k1 nearest neighbors of x, ties keeping x's bits."""
     if x.dim != data.d:
         raise DimensionMismatch(f"point dim {x.dim} != dataset dim {data.d}")
-    if not 1 <= k1 <= data.n:
-        raise ValueError(f"k1 must be in [1, {data.n}], got {k1}")
-    return BinaryVector(_step_bits(data, x.bits, k1))
+    _check_k1(data, k1)
+    return BinaryVector(_vote(data, x.bits[None], k1)[0])
 
 
-def ascend(data: Dataset, x0: BinaryVector, cfg: BgaConfig,
-           _cache: dict | None = None) -> AscentTrajectory:
-    """Iterate the median shift from x0 until a fixed point, a 2-cycle, or j_max.
-
-    Always takes at least one step; j_max counts total steps including the
-    first. A 2-cycle (x_{j+1} == x_{j-1}) stops with cause "cycle" rather
-    than burning the iteration budget.
-    """
-    if x0.dim != data.d:
-        raise DimensionMismatch(f"candidate dim {x0.dim} != dataset dim {data.d}")
-    if cfg.k1 > data.n:
-        raise ValueError(f"k1 must be in [1, {data.n}], got {cfg.k1}")
-    iterates = [x0]
-    cur = x0.bits
-    for _ in range(cfg.j_max):
-        if _cache is not None:
-            key = cur.tobytes()
-            nxt = _cache.get(key)
-            if nxt is None:
-                nxt = _step_bits(data, cur, cfg.k1)
-                _cache[key] = nxt
-        else:
-            nxt = _step_bits(data, cur, cfg.k1)
-        iterates.append(BinaryVector(nxt))
-        if np.array_equal(nxt, cur):
-            return AscentTrajectory(iterates, FIXED_POINT)
-        if len(iterates) >= 3 and np.array_equal(nxt, iterates[-3].bits):
-            return AscentTrajectory(iterates, CYCLE)
-        cur = nxt
-    return AscentTrajectory(iterates, MAX_ITERATIONS)
+def ascend(data: Dataset, x0: BinaryVector, cfg: BgaConfig) -> AscentTrajectory:
+    """The ascent from one candidate: `ascend_all(data, [x0], cfg)[0]`."""
+    return ascend_all(data, [x0], cfg)[0]
 
 
 def ascend_all(data: Dataset, candidates: list[BinaryVector],
-               cfg: BgaConfig, workers: int | None = None) -> list[AscentTrajectory]:
-    """Independent ascent per candidate, results in input order.
+               cfg: BgaConfig) -> list[AscentTrajectory]:
+    """The ascent from every candidate, results in input order.
 
-    Candidates may coincide with the dataset but need not. Steps are
-    memoized across candidates: the map depends only on the current iterate,
-    so trajectories that merge are computed once. With workers > 1 the
-    ascents run on a thread pool (a duplicated cache entry is harmless).
+    Each ascent iterates the median shift until, checked in this order, a
+    fixed point, a 2-cycle (x_{j+1} == x_{j-1}), or j_max steps. It always
+    takes at least one step; j_max counts total steps including the first.
+    Candidates may coincide with the dataset but need not.
+
+    The ascents run together in rounds over one bit matrix of the active
+    iterates. Each round dedupes them, steps every distinct iterate with one
+    batched kNN (`hamming_topk`) and majority vote, and retires the
+    candidates that stopped. Trajectories are built once, at the end, from
+    the per-round matrices; each keeps its candidate object as x_0.
     """
-    cache: dict = {}
-    if workers and workers > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda x0: ascend(data, x0, cfg, _cache=cache),
-                                 candidates))
-    return [ascend(data, x0, cfg, _cache=cache) for x0 in candidates]
+    if not candidates:
+        return []
+    for x0 in candidates:
+        if x0.dim != data.d:
+            raise DimensionMismatch(f"candidate dim {x0.dim} != dataset dim {data.d}")
+    _check_k1(data, cfg.k1)
+    active = np.arange(len(candidates))
+    cur = np.stack([x0.bits for x0 in candidates])
+    prev = cur  # at round 1 the cycle test then equals the fixed-point test
+    ends = np.full(len(candidates), 2)  # index into the causes below
+    rounds = []  # per round: (active candidate ids, their next iterates)
+    for _ in range(cfg.j_max):
+        _, first, inverse = np.unique(pack_bits(cur), axis=0, return_index=True,
+                                      return_inverse=True)
+        nxt = _vote(data, cur[first], cfg.k1)[inverse.reshape(-1)]
+        rounds.append((active, nxt))
+        fixed = (nxt == cur).all(axis=1)
+        cycle = ~fixed & (nxt == prev).all(axis=1)
+        ends[active[fixed]] = 0
+        ends[active[cycle]] = 1
+        going = ~(fixed | cycle)
+        active, prev, cur = active[going], cur[going], nxt[going]
+        if not active.size:
+            break
+    iterates = [[x0] for x0 in candidates]
+    for ids, bits in rounds:
+        for c, row in zip(ids.tolist(), bits):
+            iterates[c].append(BinaryVector(row))
+    causes = (FIXED_POINT, CYCLE, MAX_ITERATIONS)
+    return [AscentTrajectory(it, causes[e]) for it, e in zip(iterates, ends.tolist())]

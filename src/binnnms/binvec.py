@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _WORD_BITS = 64
+
+# Cap, in bytes, on each temporary of the blocked Hamming top-k: the XOR block
+# of (queries, rows, words) uint64 and the (queries, rows) int64 key block.
+BLOCK_BYTES = 256 * 1024
 
 
 class DimensionMismatch(ValueError):
@@ -29,13 +33,38 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 def hamming_to_rows(packed_rows: np.ndarray, q_packed: np.ndarray) -> np.ndarray:
     """Hamming distances from one packed query to every packed row."""
     return np.bitwise_count(packed_rows ^ q_packed).sum(axis=1).astype(np.int64)
+
+
+def row_blocks(m: int, row_bytes: int):
+    """Slices covering range(m), each with at most BLOCK_BYTES // row_bytes
+    rows (at least one)."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(s, min(s + step, m)) for s in range(0, m, step)]
+
+
+def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest packed rows to each packed query, as (indices, distances).
+
+    Both are (queries, k), ordered by (distance, row index), so a boundary
+    tie goes to the lower index. Queries are processed in blocks whose
+    temporaries stay within BLOCK_BYTES; the row index rides in the low part
+    of the partition key `distance * n + index`, which makes every key unique.
+    """
+    n = packed_rows.shape[0]
+    keys = np.empty((q_packed.shape[0], k), dtype=np.int64)
+    index = np.arange(n, dtype=np.int64)
+    for sl in row_blocks(q_packed.shape[0], packed_rows.nbytes):
+        key = np.bitwise_count(q_packed[sl, None, :] ^ packed_rows).sum(
+            axis=2, dtype=np.int64)
+        key *= n
+        key += index
+        keys[sl] = np.partition(key, k - 1, axis=1)[:, :k]
+    keys.sort(axis=1)
+    return keys % n, keys // n
 
 
 class BinaryVector:
@@ -47,7 +76,7 @@ class BinaryVector:
         arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("bits must be a nonempty 1-d sequence")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("components must be exactly 0 or 1")
         arr = arr.astype(np.uint8)
         arr.flags.writeable = False

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,26 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-
-@dataclass
-class RunConfig:
-    data: str
-    algo: str = "binnnms"
-    schema: str | None = None
-    fmt: str = "auto"
-    delimiter: str | None = None
-    header: bool = False
-    label_column: str | None = None
-    k1: int = 10
-    k2: int = 5
-    j_max: int = 50
-    epsilon_mode: str = "mean_all"
-    k: int = 2
-    runs: int = 1
-    seed: int = 0
-    threads: int = 1
-    out_dir: str = "out"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,16 +102,14 @@ def _write_prototypes(path: Path, prototypes) -> None:
 
 # --- binnnms / kmodes pipelines --------------------------------------------
 
-def run_binnnms(data: Dataset, k1: int, k2: int, j_max: int,
-                epsilon_mode: str, threads: int = 1):
+def run_binnnms(data: Dataset, k1: int, k2: int, j_max: int, epsilon_mode: str):
     """BGA over all points (skipped when k1 == 0), then epsilon labeling."""
     candidates = data.points()
     if k1 == 0:
         trajectories = None
         endpoints = candidates
     else:
-        trajectories = ascend_all(data, candidates, BgaConfig(k1, j_max),
-                                  workers=threads)
+        trajectories = ascend_all(data, candidates, BgaConfig(k1, j_max))
         endpoints = [t.endpoint for t in trajectories]
     epsilon = compute_epsilon(endpoints, k2, mode=epsilon_mode)
     labeling = label_clusters(endpoints, epsilon)
@@ -155,7 +132,7 @@ def cmd_cluster(args) -> int:
         if args.k1 < 1:
             raise ValueError("cluster requires k1 >= 1 (k1=0 exists only in sweep)")
         labeling, epsilon, _ = run_binnnms(data, args.k1, args.k2, args.jmax,
-                                           args.epsilon_mode, args.threads)
+                                           args.epsilon_mode)
         labels, prototypes = labeling.labels, labeling.prototypes
         metrics = {
             "algo": "binnnms", "k1": args.k1, "k2": args.k2, "jmax": args.jmax,
@@ -277,13 +254,7 @@ def cmd_sweep(args) -> int:
             traj_rows = _trajectory_errors(data, trajectories)
         return rows, traj_rows
 
-    if args.threads > 1 and len(k1_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_k1, k1_list))
-    else:
-        results = [run_k1(k1) for k1 in k1_list]
+    results = [run_k1(k1) for k1 in k1_list]
 
     fields = ["k1", "k2", "epsilon", "num_clusters", "nmi", "arand",
               "quant_error_final", "status"]
@@ -376,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="kmodes cluster count")
     p.add_argument("--runs", type=int, default=1, help="kmodes restarts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_cluster)
 
@@ -388,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, default=50)
     p.add_argument("--epsilon-mode", choices=["mean_all", "kth_only"],
                    default="mean_all")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_sweep)
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .binvec import (
     BinaryVector,
-    DimensionMismatch,
     Feature,
     FeatureSchema,
     encode_categorical,
@@ -122,6 +121,9 @@ def _split_label(rows, header, label_column):
             raise DataFormatError(f"row {r}: ragged row ({len(row)} cells, expected {width})")
     labels = None
     if idx is not None:
+        if not -width <= idx < width:
+            raise DataFormatError(
+                f"label column {idx} out of range for rows of {width} cells")
         if idx < 0:
             idx += width
         labels = [row[idx] for row in rows]

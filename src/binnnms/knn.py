@@ -1,14 +1,15 @@
-"""Exact k-nearest-neighbor queries under the Hamming distance."""
+"""Exact k-nearest-neighbor queries under the Hamming distance.
+
+Both queries are thin wrappers over `binvec.hamming_topk`, the blocked
+distance-plus-selection primitive that the ascent and epsilon also use.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .binvec import BinaryVector, DimensionMismatch, hamming_to_rows
+from .binvec import BinaryVector, DimensionMismatch, hamming_topk
 from .ingest import Dataset
-
 
 @dataclass(frozen=True)
 class NeighborSet:
@@ -21,34 +22,20 @@ class NeighborSet:
     def k(self) -> int:
         return len(self.indices)
 
-
 def _check(data: Dataset, q: BinaryVector, k: int):
     if q.dim != data.d:
         raise DimensionMismatch(f"query dim {q.dim} != dataset dim {data.d}")
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}], got {k}")
 
-
-def knn_indices(data: Dataset, q_packed: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest rows; boundary ties go to the lower index.
-
-    Internal fast path (no validation) shared with the ascent engine.
-    """
-    dist = hamming_to_rows(data.packed, q_packed)
-    return np.argsort(dist, kind="stable")[:k]
-
-
 def knn_query(data: Dataset, q: BinaryVector, k: int) -> NeighborSet:
-    """Exact k-NN by packed XOR/popcount scan, stable on boundary ties."""
+    """Exact k-NN by the blocked packed XOR/popcount top-k; boundary ties go
+    to the lower index."""
     _check(data, q, k)
-    dist = hamming_to_rows(data.packed, q.packed)
-    order = np.argsort(dist, kind="stable")[:k]
-    return NeighborSet(tuple(int(i) for i in order),
-                       tuple(int(dist[i]) for i in order))
-
+    idx, dist = hamming_topk(q.packed[None], data.packed, k)
+    return NeighborSet(tuple(idx[0].tolist()), tuple(dist[0].tolist()))
 
 def kth_distance(data: Dataset, q: BinaryVector, k: int) -> int:
     """Distance to the k-th nearest neighbor (the ball radius delta_(k))."""
     _check(data, q, k)
-    dist = hamming_to_rows(data.packed, q.packed)
-    return int(np.partition(dist, k - 1)[k - 1])
+    return int(hamming_topk(q.packed[None], data.packed, k)[1][0, -1])

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binvec import BinaryVector, DimensionMismatch, hamming_to_rows, pack_bits
+from .binvec import (
+    BinaryVector,
+    DimensionMismatch,
+    hamming_to_rows,
+    hamming_topk,
+    pack_bits,
+)
 from .median import WeightedSample, median_center
 
 EPSILON_MODES = ("mean_all", "kth_only")
@@ -48,14 +54,11 @@ def compute_epsilon(points: list[BinaryVector], k2: int, mode="mean_all") -> flo
         return 0.0
     if k2 >= m:
         raise ValueError(f"k2 must be at most m-1 = {m - 1}, got {k2}")
-    bits = np.stack([p.bits for p in points])
-    packed = pack_bits(bits)
-    per_point = np.empty(m)
-    for i in range(m):
-        dist = hamming_to_rows(packed, packed[i])
-        dist = np.delete(dist, i)
-        smallest = np.partition(dist, k2 - 1)[:k2]
-        per_point[i] = smallest.max() if mode == "kth_only" else smallest.mean()
+    packed = pack_bits(np.stack([p.bits for p in points]))
+    # each point's own row is among its k2 + 1 nearest at distance 0, the
+    # minimum, so dropping column 0 leaves the k2 nearest others exactly
+    dist = hamming_topk(packed, packed, k2 + 1)[1][:, 1:]
+    per_point = dist[:, -1] if mode == "kth_only" else dist.mean(axis=1)
     return float(per_point.mean())
 
 

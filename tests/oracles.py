@@ -60,6 +60,31 @@ def step_ref(rows, x, k1):
     return majority_ref(neigh, tie_bits=x)
 
 
+def ascend_ref(rows, x0, k1, j_max):
+    """(iterates, termination) of one ascent by repeated step_ref: stop at a
+    fixed point, then a 2-cycle (x_{j+1} == x_{j-1}), then j_max steps."""
+    its = [list(x0)]
+    for _ in range(j_max):
+        its.append(step_ref(rows, its[-1], k1))
+        if its[-1] == its[-2]:
+            return its, "fixed_point"
+        if len(its) >= 3 and its[-1] == its[-3]:
+            return its, "cycle"
+    return its, "max_iterations"
+
+
+def epsilon_ref(points, k2, mode):
+    """Per point: sort its distances to every other point, keep the k2
+    smallest, take their mean (mean_all) or the largest (kth_only)."""
+    per_point = []
+    for i, p in enumerate(points):
+        dist = sorted(hamming_ref(p, q) for j, q in enumerate(points) if j != i)
+        smallest = dist[:k2]
+        per_point.append(smallest[-1] if mode == "kth_only"
+                         else sum(smallest) / k2)
+    return per_point
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))

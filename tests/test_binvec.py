@@ -8,9 +8,10 @@ from binnnms.binvec import (
     decode_categorical,
     encode_categorical,
     hamming,
+    hamming_topk,
     pack_bits,
 )
-from oracles import hamming_ref
+from oracles import hamming_ref, knn_ref
 
 bitlists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
 
@@ -23,6 +24,17 @@ class TestBinaryVector:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             BinaryVector([0, 2, 1])
+
+    @pytest.mark.parametrize("bits", [
+        [True, False], [0.0, 1.0], np.array([0, 1], dtype=object)])
+    def test_accepts_what_equals_zero_or_one(self, bits):
+        assert BinaryVector(bits).bits.tolist() == [int(b) for b in bits]
+
+    @pytest.mark.parametrize("bits", [
+        [0, 2], [-1, 0], [0.5, 1], ["0", "1"], [None, 1], [None]])
+    def test_rejects_what_is_not_zero_or_one(self, bits):
+        with pytest.raises(ValueError):
+            BinaryVector(bits)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -93,6 +105,29 @@ class TestPacking:
     def test_pad_bits_are_zero(self, bits):
         packed = pack_bits(np.array(bits, dtype=np.uint8))
         assert int(np.bitwise_count(packed).sum()) == sum(bits)
+
+
+class TestHammingTopk:
+    @given(st.integers(1, 130).flatmap(lambda d: st.lists(
+               st.lists(st.integers(0, 1), min_size=d, max_size=d),
+               min_size=1, max_size=30)), st.data())
+    def test_matches_full_stable_sort(self, rows, data):
+        k = data.draw(st.integers(1, len(rows)))
+        packed = pack_bits(np.array(rows, dtype=np.uint8))
+        idx, dist = hamming_topk(packed, packed, k)
+        for q, (i, dq) in enumerate(zip(idx.tolist(), dist.tolist())):
+            assert i == knn_ref(rows, rows[q], k)
+            assert dq == [hamming_ref(rows[j], rows[q]) for j in i]
+
+    def test_matches_full_stable_sort_across_blocks(self):
+        # 5000 rows of 3 bits: 6 queries per block, ties at every boundary
+        bits = np.random.default_rng(3).integers(0, 2, size=(5000, 3))
+        packed = pack_bits(bits)
+        dist = np.bitwise_count(packed[:40, None, :] ^ packed).sum(axis=2)
+        want = np.argsort(dist, axis=1, kind="stable")[:, :25]
+        idx, got = hamming_topk(packed[:40], packed, 25)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(got, np.take_along_axis(dist, want, axis=1))
 
 
 class TestCoding:

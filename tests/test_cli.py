@@ -81,6 +81,14 @@ class TestCluster:
         assert rc == EXIT_DATA
         assert not out.exists()
 
+    @pytest.mark.parametrize("column", ["99", "-99"])
+    def test_label_column_out_of_range_is_data_error(self, toy, tmp_path,
+                                                      column, capsys):
+        rc = main(["cluster", "--data", str(toy), "--label-column", column,
+                   "--k1", "2", "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert "out of range" in capsys.readouterr().err
+
     def test_k1_zero_rejected_outside_sweep(self, toy, tmp_path):
         rc = main(["cluster", "--data", str(toy), "--k1", "0",
                    "--out-dir", str(tmp_path / "o")])

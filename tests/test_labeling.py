@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from binnnms.binvec import BinaryVector, DimensionMismatch
 from binnnms.labeling import ClusterLabeling, compute_epsilon, label_clusters
 from binnnms.median import WeightedSample, median_center
-from oracles import partition_of_labels, partition_ref
+from oracles import epsilon_ref, partition_of_labels, partition_ref
 
 
 def bv(s):
@@ -39,6 +39,24 @@ class TestComputeEpsilon:
     def test_k2_too_large(self):
         with pytest.raises(ValueError):
             compute_epsilon(bvs("00", "01"), 2)
+
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+               st.lists(st.integers(0, 1), min_size=d, max_size=d),
+               min_size=2, max_size=30)),
+           st.sampled_from(["mean_all", "kth_only"]), st.data())
+    @settings(max_examples=200)
+    def test_matches_per_point_loop(self, rows, mode, data):
+        # few bits, so points repeat and distances tie heavily
+        k2 = data.draw(st.integers(1, len(rows) - 1))
+        got = compute_epsilon([BinaryVector(r) for r in rows], k2, mode=mode)
+        assert got == float(np.mean(epsilon_ref(rows, k2, mode)))
+
+    @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
+    def test_matches_per_point_loop_across_blocks(self, mode):
+        # 600 points make each distance block hold 54 queries
+        rows = np.random.default_rng(5).integers(0, 2, size=(600, 4)).tolist()
+        got = compute_epsilon([BinaryVector(r) for r in rows], 7, mode=mode)
+        assert got == float(np.mean(epsilon_ref(rows, 7, mode)))
 
 
 class TestLabelClusters:
