@@ -1,6 +1,14 @@
 """Nearest-neighbor median shift clustering for binary data (BinNNMS)."""
 
-from .bga import AscentTrajectory, BgaConfig, ascend, ascend_all, median_shift_step
+from .bga import (
+    AscentTrajectory,
+    BatchAscent,
+    BgaConfig,
+    ascend,
+    ascend_all,
+    ascend_bits,
+    median_shift_step,
+)
 from .binvec import (
     BinaryVector,
     DimensionMismatch,
@@ -14,19 +22,27 @@ from .ingest import Dataset, load_binary_csv, load_categorical_csv, load_uci
 from .kde import aa_kernel, kde_estimate, kde_gradient
 from .kmodes import KModesResult, kmodes_repeated, kmodes_run
 from .knn import NeighborSet, knn_query, kth_distance
-from .labeling import ClusterLabeling, compute_epsilon, label_clusters
+from .labeling import (
+    ClusterLabeling,
+    compute_epsilon,
+    epsilon_bits,
+    label_bits,
+    label_clusters,
+)
 from .median import WeightedSample, inertia, median_center
 from .metrics import arand, nmi, quantization_error
 
 __all__ = [
-    "AscentTrajectory", "BgaConfig", "ascend", "ascend_all", "median_shift_step",
+    "AscentTrajectory", "BatchAscent", "BgaConfig", "ascend", "ascend_all",
+    "ascend_bits", "median_shift_step",
     "BinaryVector", "DimensionMismatch", "Feature", "FeatureSchema",
     "decode_categorical", "encode_categorical", "hamming",
     "Dataset", "load_binary_csv", "load_categorical_csv", "load_uci",
     "aa_kernel", "kde_estimate", "kde_gradient",
     "KModesResult", "kmodes_repeated", "kmodes_run",
     "NeighborSet", "knn_query", "kth_distance",
-    "ClusterLabeling", "compute_epsilon", "label_clusters",
+    "ClusterLabeling", "compute_epsilon", "epsilon_bits", "label_bits",
+    "label_clusters",
     "WeightedSample", "inertia", "median_center",
     "arand", "nmi", "quantization_error",
 ]

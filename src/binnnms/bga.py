@@ -2,8 +2,9 @@
 
 Each step replaces the current iterate with the component-wise majority vote
 of its k1 nearest dataset points (ties keep the current iterate's bit, which
-makes fixed points stable). `ascend_all` is the one engine: it steps every
+makes fixed points stable). `ascend_bits` is the one engine: it steps every
 candidate's ascent together, in rounds, on the shared blocked Hamming top-k.
+`ascend_all` and `ascend` are its `BinaryVector` front ends.
 """
 
 from __future__ import annotations
@@ -12,12 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binvec import BinaryVector, DimensionMismatch, hamming_topk, pack_bits, row_blocks
+from .binvec import (
+    BinaryVector,
+    DimensionMismatch,
+    bit_matrix,
+    hamming_topk,
+    pack_bits,
+    row_blocks,
+)
 from .ingest import Dataset
 
 FIXED_POINT = "fixed_point"
 MAX_ITERATIONS = "max_iterations"
 CYCLE = "cycle"
+TERMINATIONS = (FIXED_POINT, CYCLE, MAX_ITERATIONS)  # BatchAscent.ends order
 
 DEFAULT_J_MAX = 50
 
@@ -79,9 +88,23 @@ def ascend(data: Dataset, x0: BinaryVector, cfg: BgaConfig) -> AscentTrajectory:
     return ascend_all(data, [x0], cfg)[0]
 
 
-def ascend_all(data: Dataset, candidates: list[BinaryVector],
-               cfg: BgaConfig) -> list[AscentTrajectory]:
-    """The ascent from every candidate, results in input order.
+@dataclass
+class BatchAscent:
+    """The ascents of every row of a candidate bit matrix, as matrices.
+
+    `rounds[j]` is (ids, bits): the ids of the candidates still active at
+    step j + 1 and their (len(ids), d) iterates x_{j+1}. `ends` holds one
+    index into TERMINATIONS per candidate; `endpoints` is the (m, d) matrix
+    of last iterates.
+    """
+
+    rounds: list[tuple[np.ndarray, np.ndarray]]
+    ends: np.ndarray
+    endpoints: np.ndarray
+
+
+def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
+    """The ascent from every row of the (m, d) 0/1 matrix x0.
 
     Each ascent iterates the median shift until, checked in this order, a
     fixed point, a 2-cycle (x_{j+1} == x_{j-1}), or j_max steps. It always
@@ -91,36 +114,48 @@ def ascend_all(data: Dataset, candidates: list[BinaryVector],
     The ascents run together in rounds over one bit matrix of the active
     iterates. Each round dedupes them, steps every distinct iterate with one
     batched kNN (`hamming_topk`) and majority vote, and retires the
-    candidates that stopped. Trajectories are built once, at the end, from
-    the per-round matrices; each keeps its candidate object as x_0.
+    candidates that stopped.
     """
-    if not candidates:
-        return []
-    for x0 in candidates:
-        if x0.dim != data.d:
-            raise DimensionMismatch(f"candidate dim {x0.dim} != dataset dim {data.d}")
+    cur = bit_matrix(x0)
+    if cur.shape[1] != data.d:
+        raise DimensionMismatch(f"candidate dim {cur.shape[1]} != dataset dim {data.d}")
     _check_k1(data, cfg.k1)
-    active = np.arange(len(candidates))
-    cur = np.stack([x0.bits for x0 in candidates])
+    m = cur.shape[0]
+    endpoints = cur.copy()
+    ends = np.full(m, 2)  # indices into TERMINATIONS
+    rounds = []
+    active = np.arange(m)
     prev = cur  # at round 1 the cycle test then equals the fixed-point test
-    ends = np.full(len(candidates), 2)  # index into the causes below
-    rounds = []  # per round: (active candidate ids, their next iterates)
     for _ in range(cfg.j_max):
+        if not active.size:
+            break
         _, first, inverse = np.unique(pack_bits(cur), axis=0, return_index=True,
                                       return_inverse=True)
         nxt = _vote(data, cur[first], cfg.k1)[inverse.reshape(-1)]
         rounds.append((active, nxt))
+        endpoints[active] = nxt
         fixed = (nxt == cur).all(axis=1)
         cycle = ~fixed & (nxt == prev).all(axis=1)
         ends[active[fixed]] = 0
         ends[active[cycle]] = 1
         going = ~(fixed | cycle)
         active, prev, cur = active[going], cur[going], nxt[going]
-        if not active.size:
-            break
+    return BatchAscent(rounds, ends, endpoints)
+
+
+def ascend_all(data: Dataset, candidates: list[BinaryVector],
+               cfg: BgaConfig) -> list[AscentTrajectory]:
+    """`ascend_bits` over the stacked candidates, as one trajectory each, in
+    input order; each trajectory keeps its candidate object as x_0."""
+    if not candidates:
+        return []
+    for x0 in candidates:
+        if x0.dim != data.d:
+            raise DimensionMismatch(f"candidate dim {x0.dim} != dataset dim {data.d}")
+    ascent = ascend_bits(data, np.stack([x0.bits for x0 in candidates]), cfg)
     iterates = [[x0] for x0 in candidates]
-    for ids, bits in rounds:
+    for ids, bits in ascent.rounds:
         for c, row in zip(ids.tolist(), bits):
             iterates[c].append(BinaryVector(row))
-    causes = (FIXED_POINT, CYCLE, MAX_ITERATIONS)
-    return [AscentTrajectory(it, causes[e]) for it, e in zip(iterates, ends.tolist())]
+    return [AscentTrajectory(it, TERMINATIONS[e])
+            for it, e in zip(iterates, ascent.ends.tolist())]

@@ -33,6 +33,17 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
+def bit_matrix(bits) -> np.ndarray:
+    """`bits` as an (m, d) uint8 matrix; ValueError unless it is 2-d with
+    every cell exactly 0 or 1."""
+    arr = np.asarray(bits)
+    if arr.ndim != 2:
+        raise ValueError(f"bits must be an (m, d) matrix, got shape {arr.shape}")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("components must be exactly 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 def hamming_to_rows(packed_rows: np.ndarray, q_packed: np.ndarray) -> np.ndarray:
     """Hamming distances from one packed query to every packed row."""
     return np.bitwise_count(packed_rows ^ q_packed).sum(axis=1).astype(np.int64)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bga import BgaConfig, ascend_all
+from .bga import BgaConfig, ascend_bits
 from .binvec import DimensionMismatch
 from .ingest import (
     DataFormatError,
@@ -27,8 +27,8 @@ from .ingest import (
     write_binary_csv,
 )
 from .kmodes import kmodes_repeated
-from .labeling import compute_epsilon, label_clusters
-from .median import WeightedSample, majority_bits, median_center
+from .labeling import epsilon_bits, label_bits
+from .median import group_majority_bits
 from .metrics import arand, nmi, quantization_error
 
 EXIT_OK = 0
@@ -103,17 +103,17 @@ def _write_prototypes(path: Path, prototypes) -> None:
 # --- binnnms / kmodes pipelines --------------------------------------------
 
 def run_binnnms(data: Dataset, k1: int, k2: int, j_max: int, epsilon_mode: str):
-    """BGA over all points (skipped when k1 == 0), then epsilon labeling."""
-    candidates = data.points()
+    """BGA over all points (skipped when k1 == 0), then epsilon labeling.
+    Returns (labeling, epsilon, the BatchAscent or None)."""
     if k1 == 0:
-        trajectories = None
-        endpoints = candidates
+        ascent = None
+        endpoints = data.bits
     else:
-        trajectories = ascend_all(data, candidates, BgaConfig(k1, j_max))
-        endpoints = [t.endpoint for t in trajectories]
-    epsilon = compute_epsilon(endpoints, k2, mode=epsilon_mode)
-    labeling = label_clusters(endpoints, epsilon)
-    return labeling, epsilon, trajectories
+        ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
+        endpoints = ascent.endpoints
+    epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
+    labeling = label_bits(endpoints, epsilon)
+    return labeling, epsilon, ascent
 
 
 def _scores(data: Dataset, labels) -> dict:
@@ -183,26 +183,25 @@ def _target_prototypes(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per ground-truth class: (class index per point, prototype bit rows)."""
     classes = list(dict.fromkeys(data.truth_labels))
     cidx = np.array([classes.index(c) for c in data.truth_labels])
-    protos = np.stack([
-        median_center(WeightedSample([data.point(i)
-                                      for i in np.flatnonzero(cidx == j)])).bits
-        for j in range(len(classes))])
-    return cidx, protos
+    return cidx, group_majority_bits(data.bits, cidx, len(classes))
 
 
-def _trajectory_errors(data: Dataset, trajectories) -> list[dict]:
+def _trajectory_errors(data: Dataset, rounds) -> list[dict]:
     """Per BGA iteration: quantization error of the current iterates against
-    the fixed target prototypes and against intermediate (recomputed) ones."""
+    the fixed target prototypes and against intermediate (recomputed) ones.
+
+    `rounds` are the per-round (candidate ids, next iterates) of an ascent
+    from every data point (`BatchAscent.rounds`); a finished ascent stays at
+    its endpoint."""
     cidx, target = _target_prototypes(data)
-    depth = max(len(t.iterates) for t in trajectories)
+    cur = data.bits.copy()
     rows = []
-    for it in range(depth):
-        cur = np.stack([t.iterates[min(it, len(t.iterates) - 1)].bits
-                        for t in trajectories])
+    for it in range(len(rounds) + 1):
+        if it:
+            ids, bits = rounds[it - 1]
+            cur[ids] = bits
         err_target = float((cur != target[cidx]).sum(axis=1).mean())
-        inter = np.stack([
-            majority_bits(cur[cidx == j], np.ones(int((cidx == j).sum())))
-            for j in range(target.shape[0])])
+        inter = group_majority_bits(cur, cidx, len(target))
         err_inter = float((cur != inter[cidx]).sum(axis=1).mean())
         rows.append({"iteration": it, "error_vs_target": err_target,
                      "error_vs_intermediate": err_inter})
@@ -210,8 +209,8 @@ def _trajectory_errors(data: Dataset, trajectories) -> list[dict]:
 
 
 def _sweep_cell(data: Dataset, endpoints, k1: int, k2: int, epsilon_mode: str) -> dict:
-    epsilon = compute_epsilon(endpoints, k2, mode=epsilon_mode)
-    labeling = label_clusters(endpoints, epsilon)
+    epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
+    labeling = label_bits(endpoints, epsilon)
     row = {"k1": k1, "k2": k2, "epsilon": epsilon,
            "num_clusters": labeling.num_clusters,
            "quant_error_final": quantization_error(data, labeling),
@@ -226,17 +225,15 @@ def cmd_sweep(args) -> int:
     k2_list = _parse_int_list(args.k2)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    candidates = data.points()
 
     def run_k1(k1: int):
         rows = []
         try:
             if k1 == 0:
-                endpoints, trajectories = candidates, None
+                endpoints, ascent = data.bits, None
             else:
-                trajectories = ascend_all(data, candidates,
-                                          BgaConfig(k1, args.jmax))
-                endpoints = [t.endpoint for t in trajectories]
+                ascent = ascend_bits(data, data.bits, BgaConfig(k1, args.jmax))
+                endpoints = ascent.endpoints
         except Exception as exc:  # record the whole k1 column as failed
             return [{"k1": k1, "k2": k2, "epsilon": "", "num_clusters": "",
                      "quant_error_final": "", "nmi": "", "arand": "",
@@ -250,8 +247,8 @@ def cmd_sweep(args) -> int:
                              "num_clusters": "", "quant_error_final": "",
                              "nmi": "", "arand": "", "status": f"error: {exc}"})
         traj_rows = None
-        if trajectories is not None and data.truth_labels is not None:
-            traj_rows = _trajectory_errors(data, trajectories)
+        if ascent is not None and data.truth_labels is not None:
+            traj_rows = _trajectory_errors(data, ascent.rounds)
         return rows, traj_rows
 
     results = [run_k1(k1) for k1 in k1_list]

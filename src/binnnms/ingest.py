@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ class Dataset:
         arr = np.asarray(self.bits)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("bits must be a nonempty (n, d) matrix")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("dataset cells must be 0 or 1")
         arr = arr.astype(np.uint8)
         arr.flags.writeable = False
@@ -135,15 +136,14 @@ def load_binary_csv(path, delimiter=None, header=False, label_column=None,
                     name=None) -> Dataset:
     """Load a 0/1 delimited file; an optional label column becomes truth_labels."""
     rows, labels = _split_label(_read_rows(path, delimiter), header, label_column)
-    bits = np.empty((len(rows), len(rows[0])), dtype=np.uint8)
-    for r, row in enumerate(rows):
-        for c, cell in enumerate(row):
-            if cell == "0":
-                bits[r, c] = 0
-            elif cell == "1":
-                bits[r, c] = 1
-            else:
-                raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
+    if not set(chain.from_iterable(rows)) <= {"0", "1"}:
+        r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
+                          for c, cell in enumerate(row) if cell not in ("0", "1"))
+        raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
+    # every cell is exactly one character, so the joined text is the matrix
+    text = "".join(chain.from_iterable(rows)).encode("ascii")
+    bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
+    bits = bits.reshape(len(rows), len(rows[0]))
     return Dataset(bits, name=name or Path(path).stem, truth_labels=labels)
 
 
@@ -156,6 +156,15 @@ def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
     mismatch every concrete level equally under the Hamming distance.
     """
     rows, labels = _split_label(_read_rows(path, delimiter), header, label_column)
+    bits, missing = encode_rows(rows, schema, missing_token)
+    return Dataset(bits, name=name or Path(path).stem, truth_labels=labels,
+                   schema=schema, missing_cells=missing)
+
+
+def encode_rows(rows: list[list[str]], schema: FeatureSchema,
+                missing_token="?") -> tuple[np.ndarray, int]:
+    """Encode rows of categorical cells per the schema, in memory, as
+    (bits, number of missing cells); see `load_categorical_csv`."""
     nfeat = len(schema.features)
     if len(rows[0]) != nfeat:
         raise DataFormatError(
@@ -163,6 +172,9 @@ def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
     bits = np.zeros((len(rows), schema.encoded_dim), dtype=np.uint8)
     missing = 0
     for r, row in enumerate(rows):
+        if len(row) != nfeat:
+            raise DataFormatError(
+                f"row {r}: ragged row ({len(row)} cells, expected {nfeat})")
         col = 0
         for c, feat in enumerate(schema.features):
             cell = row[c]
@@ -178,8 +190,7 @@ def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
                 block = encode_categorical(level, feat.levels, feat.coding)
                 bits[r, col:col + feat.levels] = block.bits
             col += feat.width
-    return Dataset(bits, name=name or Path(path).stem, truth_labels=labels,
-                   schema=schema, missing_cells=missing)
+    return bits, missing
 
 
 def _resolve_level(cell: str, feat: Feature, r: int, c: int) -> int:
@@ -296,17 +307,11 @@ def car_schema() -> FeatureSchema:
 def load_zoo(path) -> Dataset:
     """zoo.data: animal name, 16 features (legs is 6-valued), class 1-7."""
     rows = _read_rows(path, ",")
-    data = [row[1:-1] for row in rows]  # drop animal name and class
-    labels = [row[-1] for row in rows]
-    tmp = Path(path).with_suffix(".zootmp")
-    try:
-        with open(tmp, "w") as fh:
-            for row in data:
-                fh.write(",".join(row) + "\n")
-        ds = load_categorical_csv(tmp, zoo_schema(), delimiter=",", name="zoo")
-    finally:
-        tmp.unlink(missing_ok=True)
-    return Dataset(ds.bits, name="zoo", truth_labels=labels, schema=ds.schema)
+    schema = zoo_schema()
+    # drop the animal name and the class
+    bits, missing = encode_rows([row[1:-1] for row in rows], schema)
+    return Dataset(bits, name="zoo", truth_labels=[row[-1] for row in rows],
+                   schema=schema, missing_cells=missing)
 
 
 def load_digits(path, threshold=1) -> Dataset:
@@ -368,16 +373,10 @@ def load_soybean(path) -> Dataset:
 def load_car(path) -> Dataset:
     """car.data: 6 categorical string features, class last."""
     rows = _read_rows(path, ",")
-    labels = [row[-1] for row in rows]
-    tmp = Path(path).with_suffix(".cartmp")
-    try:
-        with open(tmp, "w") as fh:
-            for row in rows:
-                fh.write(",".join(row[:-1]) + "\n")
-        ds = load_categorical_csv(tmp, car_schema(), delimiter=",", name="car")
-    finally:
-        tmp.unlink(missing_ok=True)
-    return Dataset(ds.bits, name="car", truth_labels=labels, schema=ds.schema)
+    schema = car_schema()
+    bits, missing = encode_rows([row[:-1] for row in rows], schema)
+    return Dataset(bits, name="car", truth_labels=[row[-1] for row in rows],
+                   schema=schema, missing_cells=missing)
 
 
 UCI_LOADERS = {

@@ -8,7 +8,7 @@ import numpy as np
 
 from .binvec import BinaryVector, hamming_to_rows, pack_bits
 from .ingest import Dataset
-from .median import majority_bits
+from .median import group_majority_bits
 
 
 @dataclass
@@ -31,17 +31,20 @@ def _distance_matrix(data: Dataset, proto_bits: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100) -> KModesResult:
+def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
+               distinct: np.ndarray | None = None) -> KModesResult:
     """One k-modes run: alternate nearest-prototype assignment and majority update.
 
     Prototypes start from k distinct points sampled without replacement;
     assignment ties go to the lowest cluster index, vote ties keep the
     previous prototype's bit. A cluster that empties is reseeded with the
-    point farthest from its prototype.
+    point farthest from its prototype. `distinct` is
+    `np.unique(data.bits, axis=0)`, computed here when not given.
     """
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}], got {k}")
-    distinct = np.unique(data.bits, axis=0)
+    if distinct is None:
+        distinct = np.unique(data.bits, axis=0)
     if k > distinct.shape[0]:
         raise ValueError(f"k = {k} exceeds the {distinct.shape[0]} distinct points")
     rng = np.random.default_rng(seed)
@@ -57,13 +60,11 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100) -> KMo
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = data.bits[labels == j]
-            if members.shape[0] == 0:
-                far = int(hamming_to_rows(data.packed, pack_bits(proto[j])).argmax())
-                proto[j] = data.bits[far]
-            else:
-                proto[j] = majority_bits(members, np.ones(members.shape[0]), proto[j])
+        proto = group_majority_bits(data.bits, labels, k, tie_bits=proto)
+        # an empty cluster's prototype is unchanged here (all its votes tie)
+        for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            far = int(hamming_to_rows(data.packed, pack_bits(proto[j])).argmax())
+            proto[j] = data.bits[far]
 
     dist = _distance_matrix(data, proto)
     total = float(dist[np.arange(data.n), labels].sum())
@@ -78,5 +79,7 @@ def kmodes_repeated(data: Dataset, k: int, runs: int, base_seed: int = 0,
     """Independent restarts with seeds base_seed .. base_seed+runs-1."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    return [kmodes_run(data, k, seed=base_seed + r, max_iter=max_iter)
+    distinct = np.unique(data.bits, axis=0)
+    return [kmodes_run(data, k, seed=base_seed + r, max_iter=max_iter,
+                       distinct=distinct)
             for r in range(runs)]

@@ -14,11 +14,12 @@ import numpy as np
 from .binvec import (
     BinaryVector,
     DimensionMismatch,
+    bit_matrix,
     hamming_to_rows,
     hamming_topk,
     pack_bits,
 )
-from .median import WeightedSample, median_center
+from .median import group_majority_bits
 
 EPSILON_MODES = ("mean_all", "kth_only")
 
@@ -39,46 +40,61 @@ class ClusterLabeling:
         return self.num_clusters == 1
 
 
-def compute_epsilon(points: list[BinaryVector], k2: int, mode="mean_all") -> float:
-    """Merge threshold from the k2-nearest-neighbor distances (self excluded).
+def _distinct(bits: np.ndarray):
+    """(packed distinct rows, inverse, counts) of a bit matrix; the packed
+    matrix is `distinct[inverse]`."""
+    distinct, inverse, counts = np.unique(pack_bits(bits), axis=0,
+                                          return_inverse=True, return_counts=True)
+    return distinct, inverse.reshape(-1), counts
 
-    mean_all: mean over points of the mean of their k2 nearest distances.
-    kth_only: mean over points of the k2-th nearest distance alone.
+
+def epsilon_bits(bits, k2: int, mode="mean_all") -> float:
+    """Merge threshold from the k2-nearest-neighbor distances (self excluded)
+    of the rows of an (m, d) 0/1 matrix.
+
+    mean_all: mean over rows of the mean of their k2 nearest distances.
+    kth_only: mean over rows of the k2-th nearest distance alone.
     """
     if mode not in EPSILON_MODES:
         raise ValueError(f"unknown epsilon mode {mode!r}")
     if k2 < 1:
         raise ValueError("k2 must be positive")
-    m = len(points)
+    bits = bit_matrix(bits)
+    m = bits.shape[0]
     if m < 2:
         return 0.0
     if k2 >= m:
         raise ValueError(f"k2 must be at most m-1 = {m - 1}, got {k2}")
-    packed = pack_bits(np.stack([p.bits for p in points]))
-    # each point's own row is among its k2 + 1 nearest at distance 0, the
-    # minimum, so dropping column 0 leaves the k2 nearest others exactly
-    dist = hamming_topk(packed, packed, k2 + 1)[1][:, 1:]
-    per_point = dist[:, -1] if mode == "kth_only" else dist.mean(axis=1)
-    return float(per_point.mean())
+    upacked, inverse, counts = _distinct(bits)
+    # A distinct row's nearest others are its own other copies at distance 0,
+    # then the copies of the next distinct rows in (distance, index) order.
+    # Itself comes first (the only distance 0), and each later row adds at
+    # least one copy, so k2 + 1 distinct rows always hold the k2 nearest.
+    idx, dist = hamming_topk(upacked, upacked, min(k2 + 1, len(counts)))
+    mult = counts[idx]
+    mult[:, 0] -= 1
+    before = np.cumsum(mult, axis=1) - mult
+    if mode == "kth_only":
+        kth = (before + mult >= k2).argmax(axis=1)
+        per_row = dist[np.arange(len(dist)), kth]
+    else:
+        per_row = (np.clip(k2 - before, 0, mult) * dist).sum(axis=1) / k2
+    # the same per-point values, in the same order, as a per-point top-k gives
+    return float(per_row[inverse].mean())
 
 
-def label_clusters(converged: list[BinaryVector], epsilon: float) -> ClusterLabeling:
-    """Connected components of the epsilon-threshold Hamming graph.
+def label_bits(bits, epsilon: float) -> ClusterLabeling:
+    """Connected components of the epsilon-threshold Hamming graph over the
+    rows of an (m, d) 0/1 matrix.
 
     Labels are assigned in order of first appearance; each prototype is the
-    median center of its cluster's points (no tie anchor).
+    majority vote of its cluster's rows, a tie giving 0.
     """
-    if not converged:
+    bits = bit_matrix(bits)
+    if not bits.shape[0]:
         raise ValueError("need at least one converged point")
-    d = converged[0].dim
-    if any(p.dim != d for p in converged):
-        raise DimensionMismatch("all points must share one dimension")
-
-    bits = np.stack([p.bits for p in converged])
-    # collapse duplicates first; endpoints of merged trajectories repeat a lot
-    uniq, inverse = np.unique(bits, axis=0, return_inverse=True)
-    u = uniq.shape[0]
-    upacked = pack_bits(uniq)
+    upacked, inverse, _ = _distinct(bits)
+    u = upacked.shape[0]
 
     comp = np.full(u, -1, dtype=np.int64)
     ncomp = 0
@@ -95,17 +111,28 @@ def label_clusters(converged: list[BinaryVector], epsilon: float) -> ClusterLabe
             frontier.extend(near.tolist())
         ncomp += 1
 
-    point_comp = comp[inverse]
-    # relabel components by first appearance over the original ordering
-    remap: dict[int, int] = {}
-    labels = np.empty(len(converged), dtype=np.int64)
-    for i, c in enumerate(point_comp):
-        if c not in remap:
-            remap[c] = len(remap)
-        labels[i] = remap[c]
+    # renumber components by first appearance over the original ordering
+    _, first = np.unique(comp[inverse], return_index=True)
+    rank = np.empty(ncomp, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(ncomp)
+    labels = rank[comp][inverse]
+    protos = group_majority_bits(bits, labels, ncomp)
+    return ClusterLabeling(labels, [BinaryVector(row) for row in protos])
 
-    prototypes = []
-    for cid in range(len(remap)):
-        members = [converged[i] for i in np.flatnonzero(labels == cid)]
-        prototypes.append(median_center(WeightedSample(members)))
-    return ClusterLabeling(labels, prototypes)
+
+def compute_epsilon(points: list[BinaryVector], k2: int, mode="mean_all") -> float:
+    """`epsilon_bits` over the stacked points."""
+    bits = (np.stack([p.bits for p in points]) if points
+            else np.empty((0, 0), dtype=np.uint8))
+    return epsilon_bits(bits, k2, mode)
+
+
+def label_clusters(converged: list[BinaryVector], epsilon: float) -> ClusterLabeling:
+    """`label_bits` over the stacked points; each prototype equals the median
+    center of its cluster's points (no tie anchor)."""
+    if not converged:
+        raise ValueError("need at least one converged point")
+    d = converged[0].dim
+    if any(p.dim != d for p in converged):
+        raise DimensionMismatch("all points must share one dimension")
+    return label_bits(np.stack([p.bits for p in converged]), epsilon)

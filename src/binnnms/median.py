@@ -44,16 +44,41 @@ def majority_bits(bits: np.ndarray, weights: np.ndarray,
     """Component-wise weighted majority over the rows of a 0/1 matrix.
 
     Exact ties take the corresponding bit of `tie_bits` when given, else 0.
+    Integer weights sum exactly in float64, so their tie test is exact;
+    other weights tie within `np.isclose`.
     """
-    ones = weights @ bits
+    weights = np.asarray(weights, dtype=float)
+    twice = 2.0 * (weights @ bits)
     total = weights.sum()
-    out = (2.0 * ones > total).astype(np.uint8)
-    tied = np.isclose(2.0 * ones, total)
+    out = (twice > total).astype(np.uint8)
+    if (weights == np.round(weights)).all():
+        tied = twice == total
+    else:
+        tied = np.isclose(twice, total)
     if tie_bits is not None:
         out[tied] = tie_bits[tied]
     else:
         out[tied] = 0
     return out
+
+
+def group_majority_bits(bits: np.ndarray, groups: np.ndarray, k: int,
+                        tie_bits: np.ndarray | None = None) -> np.ndarray:
+    """Row g, for g in range(k), is the component-wise majority of the rows
+    of the 0/1 matrix `bits` whose `groups` entry is g, counted in integers.
+
+    A tie, and so an empty group, takes row g of `tie_bits` when given,
+    else 0.
+    """
+    sizes = np.bincount(groups, minlength=k)
+    rows = bits[np.argsort(groups, kind="stable")]  # group by group
+    ends = np.cumsum(sizes).tolist()
+    # a slice sum casts to int64 in small buffers, never the whole matrix
+    ones = np.stack([rows[e - s:e].sum(axis=0, dtype=np.int64)
+                     for s, e in zip(sizes.tolist(), ends)])
+    twice, sizes = 2 * ones, sizes[:, None]
+    tie = 0 if tie_bits is None else tie_bits
+    return np.where(twice == sizes, tie, twice > sizes).astype(np.uint8)
 
 
 def median_center(s: WeightedSample, tie_breaker: BinaryVector | None = None) -> BinaryVector:

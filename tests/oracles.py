@@ -1,7 +1,8 @@
 """Independent brute-force references used to check the library.
 
 Everything here works on plain Python lists and avoids the library's packed
-representations and algorithms on purpose.
+representations and algorithms on purpose; `kmodes_ref` uses numpy only to
+draw the same seeded initial prototypes as the library.
 """
 
 import math
@@ -83,6 +84,42 @@ def epsilon_ref(points, k2, mode):
         per_point.append(smallest[-1] if mode == "kth_only"
                          else sum(smallest) / k2)
     return per_point
+
+
+def kmodes_ref(rows, k, seed, max_iter):
+    """One k-modes run updating one cluster at a time, as (labels,
+    prototypes, total inertia, iterations, inertia history, reseeds).
+
+    The initial prototypes are k of the distinct rows (in np.unique order)
+    drawn by np.random.default_rng(seed).choice without replacement. An
+    assignment tie goes to the lowest cluster, a vote tie keeps the old bit,
+    and an empty cluster is reseeded with the first row farthest from its
+    prototype.
+    """
+    import numpy as np
+
+    distinct = np.unique(np.array(rows, dtype=np.uint8), axis=0)
+    pick = np.random.default_rng(seed).choice(len(distinct), size=k, replace=False)
+    proto = distinct[pick].tolist()
+    n = len(rows)
+    labels, history, reseeds = [-1] * n, [], 0
+    for iterations in range(1, max_iter + 1):
+        dist = [[hamming_ref(r, p) for p in proto] for r in rows]
+        new = [min(range(k), key=lambda j: (d[j], j)) for d in dist]
+        history.append(float(sum(d[j] for d, j in zip(dist, new))))
+        if new == labels:
+            break
+        labels = new
+        for j in range(k):
+            members = [r for r, lab in zip(rows, labels) if lab == j]
+            if members:
+                proto[j] = majority_ref(members, tie_bits=proto[j])
+            else:
+                far = max(range(n), key=lambda i: (hamming_ref(rows[i], proto[j]), -i))
+                proto[j] = list(rows[far])
+                reseeds += 1
+    total = float(sum(hamming_ref(r, proto[lab]) for r, lab in zip(rows, labels)))
+    return labels, proto, total, iterations, history, reseeds
 
 
 class UnionFind:

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_all, median_shift_step
+from binnnms.bga import BgaConfig, ascend_all, ascend_bits, median_shift_step
 from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset, load_uci
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
@@ -232,8 +232,8 @@ def test_c12_zoo_error_trajectories():
 
     data = load_uci("zoo", uci_path("zoo.data"))
     for k1 in (3, 6, 10, 20):
-        trajs = ascend_all(data, data.points(), BgaConfig(k1))
-        rows = _trajectory_errors(data, trajs)
+        ascent = ascend_bits(data, data.bits, BgaConfig(k1))
+        rows = _trajectory_errors(data, ascent.rounds)
         assert len(rows) >= 2  # curve emitted per iteration
         assert rows[-1]["error_vs_target"] <= rows[0]["error_vs_target"]
         assert rows[-1]["error_vs_intermediate"] <= rows[0]["error_vs_intermediate"]

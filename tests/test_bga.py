@@ -7,13 +7,15 @@ from binnnms.bga import (
     CYCLE,
     FIXED_POINT,
     MAX_ITERATIONS,
+    TERMINATIONS,
     AscentTrajectory,
     BgaConfig,
     ascend,
     ascend_all,
+    ascend_bits,
     median_shift_step,
 )
-from binnnms.binvec import BinaryVector
+from binnnms.binvec import BinaryVector, DimensionMismatch
 from binnnms.ingest import Dataset
 from oracles import ascend_ref, hamming_ref, step_ref
 
@@ -181,6 +183,42 @@ class TestBatchedEngine:
             assert [x.bits.tolist() for x in t.iterates] == its
             assert t.termination == term
             assert t.iterates[0] is x0
+
+    @given(ascent_instances, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_matrices_match_iterates(self, inst, data):
+        pool, picks, extra = inst
+        rows = [pool[i % len(pool)] for i in picks]
+        k1 = data.draw(st.integers(1, len(rows)), label="k1")
+        cfg = BgaConfig(k1=k1, j_max=data.draw(st.integers(1, 4), label="j_max"))
+        cands = data.draw(st.lists(st.sampled_from(rows + extra), min_size=1,
+                                   max_size=12), label="cands")
+        ds = Dataset(np.array(rows))
+        ascent = ascend_bits(ds, np.array(cands), cfg)
+        trajs = ascend_all(ds, [BinaryVector(c) for c in cands], cfg)
+        its = [[c] for c in cands]
+        prev = np.arange(len(cands))
+        for ids, bits in ascent.rounds:
+            # each round's candidates are a subset of the previous round's
+            assert np.isin(ids, prev).all() and (np.diff(ids) > 0).all()
+            assert bits.shape == (len(ids), ds.d)
+            for c, row in zip(ids.tolist(), bits.tolist()):
+                its[c].append(row)
+            prev = ids
+        for c, t in enumerate(trajs):
+            assert its[c] == [x.bits.tolist() for x in t.iterates]
+            assert TERMINATIONS[ascent.ends[c]] == t.termination
+            assert ascent.endpoints[c].tolist() == t.endpoint.bits.tolist()
+            assert (its[c], t.termination) == ascend_ref(rows, cands[c], k1, cfg.j_max)
+
+    def test_bit_matrix_checks(self):
+        ds = dataset(["010", "111"])
+        with pytest.raises(DimensionMismatch):
+            ascend_bits(ds, np.zeros((2, 2), dtype=np.uint8), BgaConfig(k1=1))
+        with pytest.raises(ValueError):
+            ascend_bits(ds, np.array([[0, 2, 1]]), BgaConfig(k1=1))
+        empty = ascend_bits(ds, np.zeros((0, 3), dtype=np.uint8), BgaConfig(k1=1))
+        assert empty.rounds == [] and empty.endpoints.shape == (0, 3)
 
     def test_cycle_rule(self, monkeypatch):
         # the real step never cycles (see test_objective_strictly_decreases),

@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from binnnms.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from binnnms.bga import BgaConfig, ascend_all, ascend_bits
+from binnnms.binvec import BinaryVector
+from binnnms.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _trajectory_errors, main
+from binnnms.ingest import Dataset
+from binnnms.median import WeightedSample, median_center
 
 
 @pytest.fixture
@@ -161,6 +165,38 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert any("error" in l for l in lines[1:])
         assert any(l.split(",")[-1] == "ok" for l in lines[1:])
+
+
+class TestTrajectoryErrors:
+    def test_matches_rebuild_from_trajectories(self):
+        # three noisy classes: ascents stop after different numbers of steps
+        rng = np.random.default_rng(4)
+        centres = rng.integers(0, 2, size=(3, 16))
+        truth = rng.integers(0, 3, size=90)
+        bits = centres[truth] ^ (rng.random((90, 16)) < 0.3)
+        data = Dataset(bits, truth_labels=[f"c{t}" for t in truth])
+        cfg = BgaConfig(k1=7, j_max=6)
+        got = _trajectory_errors(data, ascend_bits(data, data.bits, cfg).rounds)
+
+        trajs = ascend_all(data, data.points(), cfg)
+        assert len({t.steps for t in trajs}) > 1
+        cidx = np.array([list(dict.fromkeys(data.truth_labels)).index(c)
+                         for c in data.truth_labels])
+
+        def centres_of(cur):
+            return np.stack([median_center(WeightedSample(
+                [BinaryVector(r) for r in cur[cidx == j]])).bits
+                for j in range(cidx.max() + 1)])
+
+        target = centres_of(data.bits)
+        assert len(got) == max(len(t.iterates) for t in trajs)
+        for it, row in enumerate(got):
+            cur = np.stack([t.iterates[min(it, t.steps)].bits for t in trajs])
+            inter = centres_of(cur)
+            assert row == {
+                "iteration": it,
+                "error_vs_target": float((cur != target[cidx]).sum(axis=1).mean()),
+                "error_vs_intermediate": float((cur != inter[cidx]).sum(axis=1).mean())}
 
 
 class TestEval:

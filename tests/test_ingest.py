@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from binnnms import ingest
 from binnnms.binvec import Feature, FeatureSchema
 from binnnms.ingest import (
     DataFormatError,
     Dataset,
     categorical_feature,
     dataset_summary,
+    encode_rows,
     load_binary_csv,
+    load_car,
     load_categorical_csv,
+    load_zoo,
     parse_schema_file,
     write_binary_csv,
     zoo_schema,
@@ -61,6 +65,25 @@ class TestBinaryCsv:
         f.write_text("0,1\n0,2\n")
         with pytest.raises(DataFormatError, match="row 1, column 1"):
             load_binary_csv(f)
+
+    @pytest.mark.parametrize("text, where, cell", [
+        # "01" and "" together fill two cells' worth of characters
+        ("0,1,0\n01,,1\n", "row 1, column 0", "'01'"),
+        ("1,0,1\n1,,01\n", "row 1, column 1", "''"),
+        ("0,1\n1,0\n1, x\n", "row 2, column 1", "'x'"),
+    ])
+    def test_first_bad_cell_reported(self, tmp_path, text, where, cell):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(DataFormatError, match=f"{where}: non-binary cell {cell}"):
+            load_binary_csv(f)
+
+    def test_whitespace_delimited_cells(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("0  1\t1 a\n1 0 0\tb\n\n 1 1 1 a \n")
+        ds = load_binary_csv(f, label_column=-1)
+        assert ds.bits.tolist() == [[0, 1, 1], [1, 0, 0], [1, 1, 1]]
+        assert ds.truth_labels == ["a", "b", "a"]
 
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -131,6 +154,45 @@ class TestCategoricalCsv:
         f.write_text("")
         with pytest.raises(DataFormatError):
             load_categorical_csv(f, zoo_schema())
+
+
+class TestEncodeRows:
+    @pytest.mark.parametrize("loader, line", [
+        (load_zoo, "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1"),
+        (load_car, "vhigh,vhigh,2,2,small,low,unacc"),
+    ])
+    def test_uci_load_writes_nothing(self, tmp_path, monkeypatch, loader, line):
+        # the listing is taken as the Dataset is built, while a load that
+        # wrote a temporary file beside the data would still hold it
+        raw = tmp_path / "raw.data"
+        raw.write_text(line + "\n")
+        before = sorted(tmp_path.iterdir())
+        seen = []
+        real = ingest.Dataset
+
+        def spy(*args, **kw):
+            seen.append(sorted(tmp_path.iterdir()))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(ingest, "Dataset", spy)
+        ds = loader(raw)
+        assert seen and all(listing == before for listing in seen)
+        assert sorted(tmp_path.iterdir()) == before
+        assert ds.n == 1 and ds.truth_labels == [line.split(",")[-1]]
+
+    def test_encode_rows_matches_file_load(self, tmp_path):
+        schema = zoo_schema()
+        rows = [["1"] * 12 + ["4"] + ["0"] * 3, ["0"] * 12 + ["?"] + ["1"] * 3]
+        f = tmp_path / "z.csv"
+        f.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        bits, missing = encode_rows(rows, schema)
+        ds = load_categorical_csv(f, schema)
+        assert bits.tolist() == ds.bits.tolist() and missing == ds.missing_cells == 1
+
+    def test_encode_rows_ragged(self):
+        rows = [["1"] * 12 + ["4"] + ["0"] * 3, ["1"] * 3]
+        with pytest.raises(DataFormatError, match="row 1"):
+            encode_rows(rows, zoo_schema())
 
 
 class TestSchemaFile:

@@ -6,6 +6,7 @@ from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_repeated, kmodes_run
 from binnnms.median import WeightedSample, median_center
+from oracles import kmodes_ref
 
 
 def dataset(strings):
@@ -120,3 +121,48 @@ class TestDescent:
         hist = res.inertia_history
         assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
         assert res.total_inertia <= hist[0] + 1e-9
+
+
+# 19 rows of 8 bits on which seed 11756 at k = 3 empties a cluster in the
+# second iteration, so the reseed runs
+RESEED_ROWS = ["01111000", "01011000", "11000011", "11110011", "10001000",
+               "11001001", "10000000", "01111000", "11010001", "01011101",
+               "11110011", "01111010", "10101100", "10100111", "01011100",
+               "00110000", "01111001", "01000010", "11000010"]
+
+
+def assert_matches_reference(ds, k, seed, max_iter, res):
+    labels, protos, total, iterations, history, reseeds = kmodes_ref(
+        ds.bits.tolist(), k, seed, max_iter)
+    assert res.labels.tolist() == labels
+    assert [p.bits.tolist() for p in res.prototypes] == protos
+    assert res.total_inertia == total
+    assert res.iterations == iterations
+    assert res.inertia_history == history
+    return reseeds
+
+
+class TestReference:
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cluster_loop(self, seed, max_iter):
+        # few bits and a small pool of rows: assignment and vote ties abound;
+        # max_iter 1-3 stops many runs before they converge
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        pool = rng.integers(0, 2, size=(int(rng.integers(1, 8)), d))
+        ds = Dataset(pool[rng.integers(0, len(pool), size=int(rng.integers(1, 30)))])
+        k = int(rng.integers(1, len(np.unique(ds.bits, axis=0)) + 1))
+        res = kmodes_run(ds, k, seed=seed, max_iter=max_iter)
+        assert_matches_reference(ds, k, seed, max_iter, res)
+
+    @pytest.mark.parametrize("max_iter", [2, 3, 100])
+    def test_empty_cluster_reseed_matches(self, max_iter):
+        ds = dataset(RESEED_ROWS)
+        res = kmodes_run(ds, 3, seed=11756, max_iter=max_iter)
+        assert assert_matches_reference(ds, 3, 11756, max_iter, res) == 1
+
+    def test_repeated_matches_reference_runs(self):
+        ds = dataset(RESEED_ROWS)
+        for res in kmodes_repeated(ds, 3, runs=4, base_seed=11754):
+            assert_matches_reference(ds, 3, res.seed, 100, res)

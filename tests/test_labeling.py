@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binnnms.binvec import BinaryVector, DimensionMismatch
-from binnnms.labeling import ClusterLabeling, compute_epsilon, label_clusters
+from binnnms.labeling import (
+    ClusterLabeling,
+    compute_epsilon,
+    epsilon_bits,
+    label_bits,
+    label_clusters,
+)
 from binnnms.median import WeightedSample, median_center
 from oracles import epsilon_ref, partition_of_labels, partition_ref
 
@@ -139,3 +145,57 @@ class TestProperties:
             if x not in seen:
                 seen.append(int(x))
         assert seen == list(range(lab.num_clusters))
+
+
+# Duplicate-heavy point sets: rows drawn from a pool of a few distinct rows,
+# so one distinct row's copies and its k2 nearest others span several
+# multiplicity groups.
+dup_rows = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                 min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), min_size=2, max_size=40))).map(
+    lambda t: [t[0][i % len(t[0])] for i in t[1]])
+
+
+class TestMatrixFunctions:
+    @given(dup_rows, st.sampled_from(["mean_all", "kth_only"]), st.data())
+    @settings(max_examples=300)
+    def test_deduped_epsilon_matches_per_point_loop(self, rows, mode, data):
+        k2 = data.draw(st.integers(1, len(rows) - 1))
+        want = float(np.mean(epsilon_ref(rows, k2, mode)))
+        assert epsilon_bits(np.array(rows), k2, mode) == want
+        assert compute_epsilon([BinaryVector(r) for r in rows], k2, mode) == want
+
+    def test_epsilon_across_blocks_with_duplicates(self):
+        # 900 rows of 40 distinct 6-bit vectors; k2 = 30 reaches past the
+        # copies of the nearest few distinct rows
+        rng = np.random.default_rng(3)
+        pool = rng.integers(0, 2, size=(40, 6))
+        rows = pool[rng.integers(0, 40, size=900)].tolist()
+        for mode in ("mean_all", "kth_only"):
+            assert epsilon_bits(np.array(rows), 30, mode) == \
+                float(np.mean(epsilon_ref(rows, 30, mode)))
+
+    @given(dup_rows, st.data())
+    @settings(max_examples=200)
+    def test_labeling_matches_reference(self, rows, data):
+        eps = data.draw(st.floats(0, len(rows[0]) + 1))
+        lab = label_bits(np.array(rows), eps)
+        assert partition_of_labels(list(lab.labels)) == partition_ref(rows, eps)
+        first_seen = list(dict.fromkeys(lab.labels.tolist()))
+        assert first_seen == list(range(lab.num_clusters))
+        for cid in range(lab.num_clusters):
+            members = [BinaryVector(rows[i]) for i in np.flatnonzero(lab.labels == cid)]
+            assert lab.prototypes[cid] == median_center(WeightedSample(members))
+        wrapped = label_clusters([BinaryVector(r) for r in rows], eps)
+        assert wrapped.labels.tolist() == lab.labels.tolist()
+        assert wrapped.prototypes == lab.prototypes
+
+    def test_rejects_non_binary_and_non_matrix(self):
+        with pytest.raises(ValueError):
+            label_bits(np.array([[0, 2]]), 1)
+        with pytest.raises(ValueError):
+            epsilon_bits(np.array([0, 1, 1]), 1)
+        with pytest.raises(ValueError):
+            label_bits(np.zeros((0, 3), dtype=np.uint8), 1)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binnnms.binvec import BinaryVector, DimensionMismatch
-from binnnms.median import WeightedSample, inertia, median_center
+from binnnms.median import (
+    WeightedSample,
+    group_majority_bits,
+    inertia,
+    majority_bits,
+    median_center,
+)
 from oracles import best_center_ref, inertia_ref, majority_ref
 
 
@@ -46,6 +52,42 @@ class TestMedianCenter:
         # weight 3 on "01" outvotes two copies of "10"
         s = sample(["01", "10", "10"], [3.0, 1.0, 1.0])
         assert median_center(s) == bv("01")
+
+
+class TestMajorityBits:
+    def test_integer_weight_tie_is_exact(self):
+        # a majority of one vote in 200001 is a majority, not a tie
+        bits = np.zeros((200001, 1), dtype=np.uint8)
+        bits[:100001] = 1
+        assert majority_bits(bits, np.ones(200001)).tolist() == [1]
+        assert majority_bits(1 - bits, np.ones(200001)).tolist() == [0]
+        tie = bits[1:]
+        assert majority_bits(tie, np.ones(200000)).tolist() == [0]
+        assert majority_bits(tie, np.ones(200000), np.array([1])).tolist() == [1]
+
+    def test_fractional_weights_tie_within_rounding(self):
+        # 0.1 + 0.2 != 0.3 in floating point, yet the vote is a tie
+        bits = np.array([[1], [1], [0]], dtype=np.uint8)
+        assert majority_bits(bits, np.array([0.1, 0.2, 0.3]),
+                             np.array([1])).tolist() == [1]
+
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+               st.lists(st.integers(0, 1), min_size=d, max_size=d),
+               min_size=1, max_size=20)), st.data())
+    @settings(max_examples=150)
+    def test_group_majority_matches_per_group(self, rows, data):
+        k = data.draw(st.integers(1, 4))
+        groups = data.draw(st.lists(st.integers(0, k - 1), min_size=len(rows),
+                                    max_size=len(rows)))
+        tie = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(rows[0]),
+                                          max_size=len(rows[0])),
+                                 min_size=k, max_size=k))
+        got = group_majority_bits(np.array(rows, dtype=np.uint8), np.array(groups),
+                                  k, np.array(tie, dtype=np.uint8))
+        for g in range(k):
+            members = [r for r, gr in zip(rows, groups) if gr == g]
+            want = majority_ref(members, tie_bits=tie[g]) if members else tie[g]
+            assert got[g].tolist() == want
 
 
 class TestInertia:
