@@ -8,8 +8,8 @@ import numpy as np
 
 _WORD_BITS = 64
 
-# Cap, in bytes, on each temporary of the blocked Hamming top-k: the XOR block
-# of (queries, rows, words) uint64 and the (queries, rows) int64 key block.
+# Cap, in bytes, on each temporary of the blocked Hamming kernel: the XOR block
+# of (queries, rows, words) uint64 and the (queries, rows) int64 distances.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -44,11 +44,6 @@ def bit_matrix(bits) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def hamming_to_rows(packed_rows: np.ndarray, q_packed: np.ndarray) -> np.ndarray:
-    """Hamming distances from one packed query to every packed row."""
-    return np.bitwise_count(packed_rows ^ q_packed).sum(axis=1).astype(np.int64)
-
-
 def row_blocks(m: int, row_bytes: int):
     """Slices covering range(m), each with at most BLOCK_BYTES // row_bytes
     rows (at least one)."""
@@ -56,21 +51,27 @@ def row_blocks(m: int, row_bytes: int):
     return [slice(s, min(s + step, m)) for s in range(0, m, step)]
 
 
+def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
+    """Hamming distances from packed queries to every packed row, one query
+    block at a time: yields (block slice, (block, rows) int64 distances),
+    every temporary within BLOCK_BYTES."""
+    for sl in row_blocks(q_packed.shape[0], packed_rows.nbytes):
+        yield sl, np.bitwise_count(q_packed[sl, None, :] ^ packed_rows).sum(
+            axis=2, dtype=np.int64)
+
+
 def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest packed rows to each packed query, as (indices, distances).
 
     Both are (queries, k), ordered by (distance, row index), so a boundary
-    tie goes to the lower index. Queries are processed in blocks whose
-    temporaries stay within BLOCK_BYTES; the row index rides in the low part
-    of the partition key `distance * n + index`, which makes every key unique.
+    tie goes to the lower index. The row index rides in the low part of the
+    partition key `distance * n + index`, which makes every key unique.
     """
     n = packed_rows.shape[0]
     keys = np.empty((q_packed.shape[0], k), dtype=np.int64)
     index = np.arange(n, dtype=np.int64)
-    for sl in row_blocks(q_packed.shape[0], packed_rows.nbytes):
-        key = np.bitwise_count(q_packed[sl, None, :] ^ packed_rows).sum(
-            axis=2, dtype=np.int64)
+    for sl, key in hamming_blocks(q_packed, packed_rows):
         key *= n
         key += index
         keys[sl] = np.partition(key, k - 1, axis=1)[:, :k]

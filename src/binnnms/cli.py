@@ -235,17 +235,14 @@ def cmd_sweep(args) -> int:
                 ascent = ascend_bits(data, data.bits, BgaConfig(k1, args.jmax))
                 endpoints = ascent.endpoints
         except Exception as exc:  # record the whole k1 column as failed
-            return [{"k1": k1, "k2": k2, "epsilon": "", "num_clusters": "",
-                     "quant_error_final": "", "nmi": "", "arand": "",
-                     "status": f"error: {exc}"} for k2 in k2_list], None
+            return [{"k1": k1, "k2": k2, "status": f"error: {exc}"}
+                    for k2 in k2_list], None
         for k2 in k2_list:
             try:
                 rows.append(_sweep_cell(data, endpoints, k1, k2,
                                         args.epsilon_mode))
             except Exception as exc:
-                rows.append({"k1": k1, "k2": k2, "epsilon": "",
-                             "num_clusters": "", "quant_error_final": "",
-                             "nmi": "", "arand": "", "status": f"error: {exc}"})
+                rows.append({"k1": k1, "k2": k2, "status": f"error: {exc}"})
         traj_rows = None
         if ascent is not None and data.truth_labels is not None:
             traj_rows = _trajectory_errors(data, ascent.rounds)

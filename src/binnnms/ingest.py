@@ -18,6 +18,7 @@ from .binvec import (
     BinaryVector,
     Feature,
     FeatureSchema,
+    bit_matrix,
     encode_categorical,
     pack_bits,
 )
@@ -43,22 +44,16 @@ class Dataset:
     _packed: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.bits)
-        if arr.ndim != 2 or arr.size == 0:
+        # bit_matrix may return the caller's own array: freeze a copy
+        arr = bit_matrix(self.bits).copy()
+        if arr.size == 0:
             raise ValueError("bits must be a nonempty (n, d) matrix")
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("dataset cells must be 0 or 1")
-        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self.bits = arr
         if self.truth_labels is not None:
             self.truth_labels = list(self.truth_labels)
             if len(self.truth_labels) != arr.shape[0]:
                 raise ValueError("truth_labels length must equal n")
-
-    @classmethod
-    def from_vectors(cls, points: list[BinaryVector], **kw) -> "Dataset":
-        return cls(np.stack([p.bits for p in points]), **kw)
 
     @property
     def n(self) -> int:
@@ -320,7 +315,10 @@ def load_digits(path, threshold=1) -> Dataset:
     Pixels binarize as value >= threshold; labels follow the fixed row
     blocks (digit = row // 200).
     """
-    raw = np.loadtxt(path)
+    try:
+        raw = np.loadtxt(path)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if raw.ndim != 2 or raw.shape[1] != 240:
         raise DataFormatError(f"{path}: expected 240 columns, got {raw.shape}")
     bits = (raw >= threshold).astype(np.uint8)
@@ -340,34 +338,26 @@ def load_soybean(path) -> Dataset:
     from the observed values (codes are 0-based in the raw file).
     """
     rows = _read_rows(path, ",")
-    classes: list[str] = []
-    for row in rows:
-        if row[0] not in classes:
-            classes.append(row[0])
+    width = len(rows[0])
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(
+                f"row {r}: ragged row ({len(row)} cells, expected {width})")
+        for c, cell in enumerate(row[1:], 1):
+            if cell != "?" and not cell.isdecimal():
+                raise DataFormatError(f"row {r}, column {c}: bad code {cell!r}")
+    classes = list(dict.fromkeys(row[0] for row in rows))
     keep = set(classes[:SOYBEAN_KEEP_CLASSES])
     rows = [row for row in rows if row[0] in keep]
-    labels = [row[0] for row in rows]
-    nattr = len(rows[0]) - 1
-    arity = []
-    for c in range(nattr):
-        vals = [int(row[c + 1]) for row in rows if row[c + 1] != "?"]
-        arity.append(max(vals) + 1 if vals else 1)
-    feats = tuple(Feature(f"attr{c}", "categorical", arity[c], "disjunctive")
-                  for c in range(nattr))
-    schema = FeatureSchema(feats)
-    bits = np.zeros((len(rows), schema.encoded_dim), dtype=np.uint8)
-    missing = 0
-    for r, row in enumerate(rows):
-        col = 0
-        for c in range(nattr):
-            cell = row[c + 1]
-            if cell == "?":
-                missing += 1
-            else:
-                bits[r, col + int(cell)] = 1  # 0-based code -> one-hot
-            col += arity[c]
-    return Dataset(bits, name="soybean", truth_labels=labels, schema=schema,
-                   missing_cells=missing)
+    codes = [[int(row[c]) for row in rows if row[c] != "?"]
+             for c in range(1, width)]
+    schema = FeatureSchema(tuple(
+        categorical_feature(f"attr{c}", "disjunctive",
+                            [str(v) for v in range(max(vals, default=0) + 1)])
+        for c, vals in enumerate(codes)))
+    bits, missing = encode_rows([row[1:] for row in rows], schema)
+    return Dataset(bits, name="soybean", truth_labels=[row[0] for row in rows],
+                   schema=schema, missing_cells=missing)
 
 
 def load_car(path) -> Dataset:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .binvec import BinaryVector, DimensionMismatch, hamming_to_rows
+from .binvec import BinaryVector, DimensionMismatch, hamming_blocks
 from .ingest import Dataset
 
 # above this width the lambda^d factors underflow in linear space
@@ -47,13 +47,18 @@ def aa_kernel(diff, lam: float) -> float:
     return float(_kernel_values(np.array([m]), arr.size, lam)[0])
 
 
+def _mismatches(data: Dataset, x: BinaryVector) -> np.ndarray:
+    """Hamming distances from x to every data row."""
+    if x.dim != data.d:
+        raise DimensionMismatch(f"point dim {x.dim} != dataset dim {data.d}")
+    _, dist = next(hamming_blocks(x.packed[None], data.packed))
+    return dist[0]
+
+
 def kde_estimate(data: Dataset, x: BinaryVector, lam: float) -> float:
     """Kernel density estimate at x: mean of kernel values over the data."""
     _check_lambda(lam)
-    if x.dim != data.d:
-        raise DimensionMismatch(f"point dim {x.dim} != dataset dim {data.d}")
-    m = hamming_to_rows(data.packed, x.packed)
-    return float(_kernel_values(m, data.d, lam).mean())
+    return float(_kernel_values(_mismatches(data, x), data.d, lam).mean())
 
 
 def kde_gradient(data: Dataset, x: BinaryVector, lam: float) -> np.ndarray:
@@ -66,10 +71,7 @@ def kde_gradient(data: Dataset, x: BinaryVector, lam: float) -> np.ndarray:
     _check_lambda(lam)
     if lam == 1.0:
         raise ValueError("gradient undefined at lambda = 1 (log factor diverges)")
-    if x.dim != data.d:
-        raise DimensionMismatch(f"point dim {x.dim} != dataset dim {data.d}")
-    m = hamming_to_rows(data.packed, x.packed)
-    kv = _kernel_values(m, data.d, lam)
+    kv = _kernel_values(_mismatches(data, x), data.d, lam)
     weighted = kv @ data.bits.astype(float)
     scale = 2.0 * math.log(lam / (1.0 - lam)) / data.n
     return scale * (weighted - x.bits.astype(float) * kv.sum())

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import BinaryVector, hamming_to_rows, pack_bits
+from .binvec import BinaryVector, hamming_blocks, pack_bits
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -26,9 +26,9 @@ class KModesResult:
 
 
 def _distance_matrix(data: Dataset, proto_bits: np.ndarray) -> np.ndarray:
-    pp = pack_bits(proto_bits)
-    return np.stack([hamming_to_rows(data.packed, pp[j]) for j in range(len(pp))],
-                    axis=1)
+    """(n, k) Hamming distances from each data row to each prototype."""
+    blocks = hamming_blocks(pack_bits(proto_bits), data.packed)
+    return np.concatenate([dist for _, dist in blocks]).T
 
 
 def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
@@ -61,10 +61,10 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
             break
         labels = new_labels
         proto = group_majority_bits(data.bits, labels, k, tie_bits=proto)
-        # an empty cluster's prototype is unchanged here (all its votes tie)
+        # an empty cluster's prototype is unchanged here (all its votes tie),
+        # so dist[:, j] still holds the distances to it
         for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
-            far = int(hamming_to_rows(data.packed, pack_bits(proto[j])).argmax())
-            proto[j] = data.bits[far]
+            proto[j] = data.bits[dist[:, j].argmax()]
 
     dist = _distance_matrix(data, proto)
     total = float(dist[np.arange(data.n), labels].sum())

@@ -15,7 +15,7 @@ from .binvec import (
     BinaryVector,
     DimensionMismatch,
     bit_matrix,
-    hamming_to_rows,
+    hamming_blocks,
     hamming_topk,
     pack_bits,
 )
@@ -103,12 +103,12 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
             continue
         frontier = [seed]
         comp[seed] = ncomp
-        while frontier:
-            cur = frontier.pop()
-            dist = hamming_to_rows(upacked, upacked[cur])
-            near = np.flatnonzero((dist <= epsilon) & (comp == -1))
-            comp[near] = ncomp
-            frontier.extend(near.tolist())
+        while len(frontier):  # expand the whole frontier, block by block
+            near = np.zeros(u, dtype=bool)
+            for _, dist in hamming_blocks(upacked[frontier], upacked):
+                near |= (dist <= epsilon).any(axis=0)
+            frontier = np.flatnonzero(near & (comp == -1))
+            comp[frontier] = ncomp
         ncomp += 1
 
     # renumber components by first appearance over the original ordering

@@ -8,6 +8,7 @@ from binnnms.binvec import (
     decode_categorical,
     encode_categorical,
     hamming,
+    hamming_blocks,
     hamming_topk,
     pack_bits,
 )
@@ -105,6 +106,18 @@ class TestPacking:
     def test_pad_bits_are_zero(self, bits):
         packed = pack_bits(np.array(bits, dtype=np.uint8))
         assert int(np.bitwise_count(packed).sum()) == sum(bits)
+
+
+class TestHammingBlocks:
+    def test_blocks_cover_queries_in_order(self):
+        # 5000 rows of one word: 6 queries per block, 7 blocks for 40 queries
+        bits = np.random.default_rng(4).integers(0, 2, size=(5000, 60))
+        packed = pack_bits(bits)
+        blocks = list(hamming_blocks(packed[:40], packed))
+        assert [sl.start for sl, _ in blocks] == list(range(0, 40, 6))
+        got = np.concatenate([dist for _, dist in blocks])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (bits[:40, None, :] != bits).sum(axis=2))
 
 
 class TestHammingTopk:

@@ -272,6 +272,19 @@ class TestSummary:
         assert out["num_classes"] == 2
 
 
+class TestUciDataErrors:
+    @pytest.mark.parametrize("fmt, text", [
+        ("soybean", "d1,0,1\nd2,1\n"),
+        ("soybean", "d1,0,1\nd2,x,1\n"),
+        ("digits", " ".join(["0"] * 239 + ["x"]) + "\n"),
+    ], ids=["soybean-ragged-row", "soybean-bad-code", "digits-non-numeric"])
+    def test_bad_cell_is_data_error(self, tmp_path, capsys, fmt, text):
+        f = tmp_path / "raw.data"
+        f.write_text(text)
+        assert main(["summary", "--data", str(f), "--format", fmt]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_console_script(self, toy, tmp_path):
         proc = subprocess.run(

@@ -12,6 +12,8 @@ from binnnms.ingest import (
     load_binary_csv,
     load_car,
     load_categorical_csv,
+    load_digits,
+    load_soybean,
     load_zoo,
     parse_schema_file,
     write_binary_csv,
@@ -195,6 +197,27 @@ class TestEncodeRows:
             encode_rows(rows, zoo_schema())
 
 
+class TestSoybean:
+    def test_bits_labels_and_missing(self, tmp_path):
+        # arities 2, 3 and 1 from the observed 0-based codes; '?' is all-zero
+        f = tmp_path / "soy.data"
+        f.write_text("d1,0,2,?\nd2,1,?,0\nd1,?,0,0\n")
+        ds = load_soybean(f)
+        assert ds.bits.tolist() == [[1, 0, 0, 0, 1, 0],
+                                    [0, 1, 0, 0, 0, 1],
+                                    [0, 0, 1, 0, 0, 1]]
+        assert ds.truth_labels == ["d1", "d2", "d1"]
+        assert ds.missing_cells == 3
+
+    def test_keeps_first_15_classes(self, tmp_path):
+        # the 16th and 17th classes go, and so does the code 7 only they use
+        f = tmp_path / "soy.data"
+        f.write_text("".join(f"c{i},{i % 3}\n" for i in range(17)) + "c16,7\n")
+        ds = load_soybean(f)
+        assert ds.truth_labels == [f"c{i}" for i in range(15)]
+        assert ds.bits.tolist() == [[i % 3 == j for j in range(3)] for i in range(15)]
+
+
 class TestSchemaFile:
     def test_parse(self, tmp_path):
         f = tmp_path / "s.schema"
@@ -226,6 +249,20 @@ class TestSchemaFile:
         schemas = Path(__file__).resolve().parent.parent / "data" / "schemas"
         assert parse_schema_file(schemas / "zoo.schema") == zoo_schema()
         assert parse_schema_file(schemas / "car.schema") == car_schema()
+
+
+class TestDigits:
+    def test_non_numeric_cell(self, tmp_path):
+        f = tmp_path / "mfeat-pix"
+        f.write_text(" ".join(["0"] * 239 + ["x"]) + "\n")
+        with pytest.raises(DataFormatError):
+            load_digits(f)
+
+    def test_wrong_width(self, tmp_path):
+        f = tmp_path / "mfeat-pix"
+        f.write_text("0 1 2\n")
+        with pytest.raises(DataFormatError, match="240 columns"):
+            load_digits(f)
 
 
 class TestSummary:

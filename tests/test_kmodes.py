@@ -162,6 +162,15 @@ class TestReference:
         res = kmodes_run(ds, 3, seed=11756, max_iter=max_iter)
         assert assert_matches_reference(ds, 3, 11756, max_iter, res) == 1
 
+    def test_matches_reference_across_blocks(self):
+        # 1725 copies of the reseed rows: 32775 rows of 8 bytes leave one
+        # prototype per distance block, so the k = 3 distance matrix spans
+        # three blocks, and the run (every count scaled by 1725) still
+        # empties a cluster and reseeds it
+        ds = Dataset(np.tile(dataset(RESEED_ROWS).bits, (1725, 1)))
+        res = kmodes_run(ds, 3, seed=11756)
+        assert assert_matches_reference(ds, 3, 11756, 100, res) == 1
+
     def test_repeated_matches_reference_runs(self):
         ds = dataset(RESEED_ROWS)
         for res in kmodes_repeated(ds, 3, runs=4, base_seed=11754):

@@ -192,6 +192,23 @@ class TestMatrixFunctions:
         assert wrapped.labels.tolist() == lab.labels.tolist()
         assert wrapped.prototypes == lab.prototypes
 
+    def test_labeling_matches_reference_across_blocks(self):
+        # 256-bit rows: the zero row, 64 unit rows e_i and 64 pendants
+        # e_i + e_(64+i), plus their complements, are 258 distinct rows and 31
+        # queries per distance block. At epsilon 1 the BFS from the zero row
+        # has all 64 unit rows in one frontier, which spans three blocks, and
+        # each pendant is reached only through its own unit row.
+        eye = np.eye(256, dtype=np.uint8)
+        half = np.vstack([np.zeros((1, 256), np.uint8), eye[:64],
+                          eye[:64] + eye[64:128]])
+        rng = np.random.default_rng(5)
+        distinct = np.vstack([half, 1 - half])
+        rows = distinct[rng.permutation(np.r_[:258, rng.integers(0, 258, 30)])]
+        lab = label_bits(rows, 1)
+        assert lab.num_clusters == 2
+        assert partition_of_labels(lab.labels.tolist()) == \
+            partition_ref(rows.tolist(), 1)
+
     def test_rejects_non_binary_and_non_matrix(self):
         with pytest.raises(ValueError):
             label_bits(np.array([[0, 2]]), 1)
