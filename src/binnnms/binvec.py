@@ -8,8 +8,9 @@ import numpy as np
 
 _WORD_BITS = 64
 
-# Cap, in bytes, on each temporary of the blocked Hamming kernel: the XOR block
-# of (queries, rows, words) uint64 and the (queries, rows) int64 distances.
+# Cap, in bytes, on each temporary of the blocked Hamming kernel: the
+# (queries, rows) uint64 XOR block; its uint8 counts and int32 distances are
+# smaller.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -53,11 +54,32 @@ def row_blocks(m: int, row_bytes: int):
 
 def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     """Hamming distances from packed queries to every packed row, one query
-    block at a time: yields (block slice, (block, rows) int64 distances),
-    every temporary within BLOCK_BYTES."""
-    for sl in row_blocks(q_packed.shape[0], packed_rows.nbytes):
-        yield sl, np.bitwise_count(q_packed[sl, None, :] ^ packed_rows).sum(
-            axis=2, dtype=np.int64)
+    block at a time: yields (block slice, (block, rows) int32 distances),
+    every per-block temporary within BLOCK_BYTES.
+
+    The rows are copied word-major once per call, so each word of a query
+    block is one (block, rows) XOR and popcount over contiguous memory.
+    """
+    n, words = packed_rows.shape
+    cols = np.ascontiguousarray(packed_rows.T)
+    blocks = row_blocks(q_packed.shape[0], 8 * n)
+    size = blocks[0].stop if blocks else 0
+    xor = np.empty((size, n), dtype=np.uint64)
+    ones = np.empty((size, n), dtype=np.uint8)
+    for sl in blocks:
+        q = q_packed[sl]
+        b = len(q)
+        dist = np.zeros((b, n), dtype=np.int32)
+        for w in range(words):
+            np.bitwise_xor(q[:, w, None], cols[w], out=xor[:b])
+            dist += np.bitwise_count(xor[:b], out=ones[:b])
+        yield sl, dist
+
+
+def _key_dtype(n: int, words: int):
+    """int32 when every top-k key `distance * n + index` over n rows of
+    `words` words fits in it, else int64."""
+    return np.int32 if (64 * words + 1) * n <= np.iinfo(np.int32).max else np.int64
 
 
 def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
@@ -68,10 +90,12 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
     tie goes to the lower index. The row index rides in the low part of the
     partition key `distance * n + index`, which makes every key unique.
     """
-    n = packed_rows.shape[0]
-    keys = np.empty((q_packed.shape[0], k), dtype=np.int64)
-    index = np.arange(n, dtype=np.int64)
-    for sl, key in hamming_blocks(q_packed, packed_rows):
+    n, words = packed_rows.shape
+    dtype = _key_dtype(n, words)
+    keys = np.empty((q_packed.shape[0], k), dtype=dtype)
+    index = np.arange(n, dtype=dtype)
+    for sl, dist in hamming_blocks(q_packed, packed_rows):
+        key = dist.astype(dtype, copy=False)
         key *= n
         key += index
         keys[sl] = np.partition(key, k - 1, axis=1)[:, :k]

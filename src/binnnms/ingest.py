@@ -89,7 +89,10 @@ def _read_rows(path, delimiter=None) -> list[list[str]]:
             cells = line.split(",") if "," in line else line.split()
         else:
             cells = line.split(delimiter)
-        rows.append([c.strip() for c in cells])
+        # the line is stripped, so without inner whitespace its cells are too
+        if len(line.split(None, 1)) > 1:
+            cells = [c.strip() for c in cells]
+        rows.append(cells)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     return rows

@@ -35,10 +35,10 @@ def contingency(truth, pred) -> Contingency:
         raise ValueError("labelings must be nonempty")
     rows = {u: i for i, u in enumerate(dict.fromkeys(truth))}
     cols = {v: j for j, v in enumerate(dict.fromkeys(pred))}
-    table = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for u, v in zip(truth, pred):
-        table[rows[u], cols[v]] += 1
-    return Contingency(table, len(truth))
+    t = np.fromiter(map(rows.__getitem__, truth), dtype=np.int64, count=len(truth))
+    p = np.fromiter(map(cols.__getitem__, pred), dtype=np.int64, count=len(pred))
+    cells = np.bincount(t * len(cols) + p, minlength=len(rows) * len(cols))
+    return Contingency(cells.reshape(len(rows), len(cols)), len(truth))
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from binnnms import binvec
 from binnnms.binvec import (
     BinaryVector,
     DimensionMismatch,
@@ -116,8 +117,20 @@ class TestHammingBlocks:
         blocks = list(hamming_blocks(packed[:40], packed))
         assert [sl.start for sl, _ in blocks] == list(range(0, 40, 6))
         got = np.concatenate([dist for _, dist in blocks])
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, (bits[:40, None, :] != bits).sum(axis=2))
+
+    @pytest.mark.parametrize("d", [130, 240])
+    def test_multi_word_rows_across_blocks(self, d):
+        # 3000 rows: 8 * 3000 bytes per query, so 10 queries per block and
+        # 4 blocks for 40 queries, whatever the number of words
+        rng = np.random.default_rng(d)
+        bits = rng.integers(0, 2, size=(3000, d))
+        queries = rng.integers(0, 2, size=(40, d))
+        blocks = list(hamming_blocks(pack_bits(queries), pack_bits(bits)))
+        assert [sl.start for sl, _ in blocks] == list(range(0, 40, 10))
+        got = np.concatenate([dist for _, dist in blocks])
+        assert np.array_equal(got, (queries[:, None, :] != bits).sum(axis=2))
 
 
 class TestHammingTopk:
@@ -141,6 +154,44 @@ class TestHammingTopk:
         idx, got = hamming_topk(packed[:40], packed, 25)
         assert np.array_equal(idx, want)
         assert np.array_equal(got, np.take_along_axis(dist, want, axis=1))
+
+    @pytest.mark.parametrize("d", [130, 240])
+    def test_multi_word_matches_full_stable_sort_across_blocks(self, d):
+        # 3000 rows, 10 queries per block. The rows share one random
+        # background and differ only in 6 columns spread over the words, so
+        # distances run 0..6 and tie at every boundary.
+        rng = np.random.default_rng(d)
+        bits = np.tile(rng.integers(0, 2, size=d), (3000, 1))
+        varying = [0, 1, 64, 65, d - 2, d - 1]
+        bits[:, varying] = rng.integers(0, 2, size=(3000, len(varying)))
+        packed = pack_bits(bits)
+        dist = (bits[:40, None, :] != bits).sum(axis=2)
+        want = np.argsort(dist, axis=1, kind="stable")[:, :25]
+        idx, got = hamming_topk(packed[:40], packed, 25)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(got, np.take_along_axis(dist, want, axis=1))
+
+    def test_int64_keys_select_the_same(self, monkeypatch):
+        bits = np.random.default_rng(6).integers(0, 2, size=(3000, 130))
+        packed = pack_bits(bits)
+        want_idx, want_dist = hamming_topk(packed[:40], packed, 25)
+        assert want_idx.dtype == np.int32
+        monkeypatch.setattr(binvec, "_key_dtype", lambda n, words: np.int64)
+        idx, dist = hamming_topk(packed[:40], packed, 25)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+
+class TestKeyDtype:
+    @pytest.mark.parametrize("words", [1, 4, 100])
+    def test_int32_exactly_while_every_key_fits(self, words):
+        top = np.iinfo(np.int32).max
+        n = top // (64 * words + 1)
+        # the largest key: distance 64 * words at row index n - 1
+        assert 64 * words * n + (n - 1) <= top
+        assert binvec._key_dtype(n, words) == np.int32
+        assert binvec._key_dtype(n + 1, words) == np.int64
 
 
 class TestCoding:

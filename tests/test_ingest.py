@@ -87,6 +87,19 @@ class TestBinaryCsv:
         assert ds.bits.tolist() == [[0, 1, 1], [1, 0, 0], [1, 1, 1]]
         assert ds.truth_labels == ["a", "b", "a"]
 
+    @pytest.mark.parametrize("text,delimiter", [
+        (" 0 , 1,1\n1 ,0 , 0 \n", None),
+        ("0\t,1,\t1\n1,\t0\t,0\n", None),
+        ("0,1,1\n1 , 0,0\n", None),
+        ("0 1\t1\n 1  0 0\n", None),
+        ("0 ; 1;1\n1;0 ;\t0\n", ";"),
+    ])
+    def test_padded_cells_are_stripped(self, tmp_path, text, delimiter):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        ds = load_binary_csv(f, delimiter=delimiter)
+        assert ds.bits.tolist() == [[0, 1, 1], [1, 0, 0]]
+
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0,1\n0\n")

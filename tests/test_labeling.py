@@ -59,8 +59,9 @@ class TestComputeEpsilon:
 
     @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
     def test_matches_per_point_loop_across_blocks(self, mode):
-        # 600 points make each distance block hold 54 queries
-        rows = np.random.default_rng(5).integers(0, 2, size=(600, 4)).tolist()
+        # epsilon runs on the distinct rows: 700 points of 10 bits hold 515,
+        # so each distance block holds 63 queries
+        rows = np.random.default_rng(5).integers(0, 2, size=(700, 10)).tolist()
         got = compute_epsilon([BinaryVector(r) for r in rows], 7, mode=mode)
         assert got == float(np.mean(epsilon_ref(rows, 7, mode)))
 
@@ -168,11 +169,13 @@ class TestMatrixFunctions:
         assert compute_epsilon([BinaryVector(r) for r in rows], k2, mode) == want
 
     def test_epsilon_across_blocks_with_duplicates(self):
-        # 900 rows of 40 distinct 6-bit vectors; k2 = 30 reaches past the
+        # 600 rows drawn from 400 distinct 12-bit vectors hold 300 of them,
+        # so each distance block holds 109 queries; k2 = 30 reaches past the
         # copies of the nearest few distinct rows
         rng = np.random.default_rng(3)
-        pool = rng.integers(0, 2, size=(40, 6))
-        rows = pool[rng.integers(0, 40, size=900)].tolist()
+        codes = rng.choice(1 << 12, size=400, replace=False)
+        pool = (codes[:, None] >> np.arange(12)) & 1
+        rows = pool[rng.integers(0, 400, size=600)].tolist()
         for mode in ("mean_all", "kth_only"):
             assert epsilon_bits(np.array(rows), 30, mode) == \
                 float(np.mean(epsilon_ref(rows, 30, mode)))
@@ -193,17 +196,17 @@ class TestMatrixFunctions:
         assert wrapped.prototypes == lab.prototypes
 
     def test_labeling_matches_reference_across_blocks(self):
-        # 256-bit rows: the zero row, 64 unit rows e_i and 64 pendants
-        # e_i + e_(64+i), plus their complements, are 258 distinct rows and 31
-        # queries per distance block. At epsilon 1 the BFS from the zero row
-        # has all 64 unit rows in one frontier, which spans three blocks, and
-        # each pendant is reached only through its own unit row.
+        # 256-bit rows: the zero row, 128 unit rows e_i and 128 pendants
+        # e_i + e_(128+i), plus their complements, are 514 distinct rows and
+        # 63 queries per distance block. At epsilon 1 the BFS from the zero
+        # row has all 128 unit rows in one frontier, which spans three
+        # blocks, and each pendant is reached only through its own unit row.
         eye = np.eye(256, dtype=np.uint8)
-        half = np.vstack([np.zeros((1, 256), np.uint8), eye[:64],
-                          eye[:64] + eye[64:128]])
+        half = np.vstack([np.zeros((1, 256), np.uint8), eye[:128],
+                          eye[:128] + eye[128:]])
         rng = np.random.default_rng(5)
         distinct = np.vstack([half, 1 - half])
-        rows = distinct[rng.permutation(np.r_[:258, rng.integers(0, 258, 30)])]
+        rows = distinct[rng.permutation(np.r_[:514, rng.integers(0, 514, 30)])]
         lab = label_bits(rows, 1)
         assert lab.num_clusters == 2
         assert partition_of_labels(lab.labels.tolist()) == \

@@ -17,6 +17,30 @@ class TestContingency:
         assert list(ct.row_marginals) == [2, 2]
         assert list(ct.col_marginals) == [2, 1, 1]
 
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                    min_size=1, max_size=60),
+           st.sampled_from(["int", "str", "numpy"]))
+    @settings(max_examples=200)
+    def test_matches_brute_force_count(self, pairs, kind):
+        convert = {"int": list, "str": lambda xs: [f"c{x}" for x in xs],
+                   "numpy": np.array}[kind]
+        truth, pred = (convert([pair[i] for pair in pairs]) for i in (0, 1))
+
+        def first_appearance(labels):
+            order = []
+            for x in labels:
+                if x not in order:
+                    order.append(x)
+            return order
+
+        want = [[sum(1 for u, v in zip(truth, pred) if u == r and v == c)
+                 for c in first_appearance(pred)]
+                for r in first_appearance(truth)]
+        ct = contingency(truth, pred)
+        assert ct.table.dtype == np.int64
+        assert ct.table.tolist() == want
+        assert ct.n == len(pairs)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             contingency([0, 1], [0])
