@@ -30,7 +30,7 @@ from .labeling import (
     label_clusters,
 )
 from .median import WeightedSample, inertia, median_center
-from .metrics import arand, nmi, quantization_error
+from .metrics import arand, nmi, quantization_error, scores
 
 __all__ = [
     "AscentTrajectory", "BatchAscent", "BgaConfig", "ascend", "ascend_all",
@@ -44,7 +44,7 @@ __all__ = [
     "ClusterLabeling", "compute_epsilon", "epsilon_bits", "label_bits",
     "label_clusters",
     "WeightedSample", "inertia", "median_center",
-    "arand", "nmi", "quantization_error",
+    "arand", "nmi", "quantization_error", "scores",
 ]
 
 __version__ = "0.1.0"

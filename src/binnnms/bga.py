@@ -20,6 +20,7 @@ from .binvec import (
     hamming_topk,
     pack_bits,
     row_blocks,
+    unique_rows,
 )
 from .ingest import Dataset
 
@@ -129,9 +130,8 @@ def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
     for _ in range(cfg.j_max):
         if not active.size:
             break
-        _, first, inverse = np.unique(pack_bits(cur), axis=0, return_index=True,
-                                      return_inverse=True)
-        nxt = _vote(data, cur[first], cfg.k1)[inverse.reshape(-1)]
+        first, inverse, _ = unique_rows(cur)
+        nxt = _vote(data, cur[first], cfg.k1)[inverse]
         rounds.append((active, nxt))
         endpoints[active] = nxt
         fixed = (nxt == cur).all(axis=1)

@@ -45,6 +45,32 @@ def bit_matrix(bits) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, inverse, counts) of the distinct rows of an (m, d) 0/1 matrix,
+    as `np.unique(bits, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)` gives them: `bits[first]` are the distinct rows in
+    ascending order, each at its first occurrence, and `bits[first][inverse]`
+    is `bits`.
+
+    The rows pack big-endian, so their bytes, read as big-endian words,
+    order like the bits; one stable lexsort over the words does the rest.
+    """
+    packed = np.packbits(bits, axis=1)
+    pad = (-packed.shape[1]) % 8
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros((packed.shape[0], pad), dtype=np.uint8)], axis=1)
+    words = np.ascontiguousarray(packed).view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])  # the first word is the primary key
+    ranked = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[starts], inverse, np.diff(starts, append=len(order))
+
+
 def row_blocks(m: int, row_bytes: int):
     """Slices covering range(m), each with at most BLOCK_BYTES // row_bytes
     rows (at least one)."""

@@ -29,7 +29,7 @@ from .ingest import (
 from .kmodes import kmodes_repeated
 from .labeling import epsilon_bits, label_bits
 from .median import group_majority_bits
-from .metrics import arand, nmi, quantization_error
+from .metrics import quantization_error, scores
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,8 +119,8 @@ def run_binnnms(data: Dataset, k1: int, k2: int, j_max: int, epsilon_mode: str):
 def _scores(data: Dataset, labels) -> dict:
     if data.truth_labels is None:
         return {"nmi": None, "arand": None}
-    return {"nmi": round(nmi(data.truth_labels, list(labels)), 12),
-            "arand": round(arand(data.truth_labels, list(labels)), 12)}
+    nmi, arand = scores(data.truth_labels, labels.tolist())
+    return {"nmi": round(nmi, 12), "arand": round(arand, 12)}
 
 
 def cmd_cluster(args) -> int:
@@ -288,8 +288,8 @@ def cmd_eval(args) -> int:
     if len(truth) != len(pred):
         raise DataFormatError(
             f"label files differ in length: {len(truth)} vs {len(pred)}")
-    print(json.dumps({"nmi": nmi(truth, pred), "arand": arand(truth, pred)},
-                     sort_keys=True))
+    nmi, arand = scores(truth, pred)
+    print(json.dumps({"nmi": nmi, "arand": arand}, sort_keys=True))
     return EXIT_OK
 
 

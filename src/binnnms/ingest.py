@@ -8,6 +8,7 @@ Datasets themselves are never bundled; see scripts/fetch_datasets.py.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -78,10 +79,22 @@ class Dataset:
 
 # --- delimited text ---------------------------------------------------------
 
-def _read_rows(path, delimiter=None) -> list[list[str]]:
-    text = Path(path).read_text()
+def _decode(raw: bytes, path) -> str:
+    """The text `open` reads from the file's bytes; bytes that do not decode
+    are a DataFormatError naming the file."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw)).read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: cannot decode the file as text: {exc}") from None
+
+
+def _read_rows(path, delimiter=None, raw: bytes | None = None) -> list[list[str]]:
+    """Nonblank lines as lists of stripped cells. `raw` is the file's bytes
+    when the caller has already read them."""
+    if raw is None:
+        raw = Path(path).read_bytes()
     rows = []
-    for line in text.splitlines():
+    for line in _decode(raw, path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -123,6 +136,9 @@ def _split_label(rows, header, label_column):
         if not -width <= idx < width:
             raise DataFormatError(
                 f"label column {idx} out of range for rows of {width} cells")
+        if width == 1:
+            raise DataFormatError(
+                f"label column {idx} is the only column; no data cells remain")
         if idx < 0:
             idx += width
         labels = [row[idx] for row in rows]
@@ -130,18 +146,82 @@ def _split_label(rows, header, label_column):
     return rows, labels
 
 
+# Bytes a plain file may hold: printable ASCII other than space, and "\n".
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)) + b"\n"
+
+
+def _plain_bits(raw: bytes, delimiter, label_column):
+    """(bits, labels) of a plain binary file, read from its bytes with no
+    per-cell string; None when the file is not plain.
+
+    A plain file holds only `_PLAIN_BYTES`, so it decodes the same in any
+    ASCII-compatible encoding, and no blank line except after the final
+    newline. Its delimiter is one byte other than 0 and 1: the given one,
+    or "," when none is given and the first line has one. Every line is
+    one-character cells joined by it, plus a label cell first or last when
+    `label_column` asks for one. On such a file the general reader gives
+    the same bits and labels; the caller runs it on None.
+    """
+    if not raw or raw.translate(None, _PLAIN_BYTES):
+        return None
+    lines = raw.split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # any other empty line fails the length test below
+    if delimiter is None:
+        delim = b"," if b"," in lines[0] else b""
+    else:
+        delim = delimiter.encode("utf-8", "surrogatepass")
+    if len(delim) != 1 or delim in b"01":
+        return None
+    width = lines[0].count(delim) + 1
+    if label_column is None:
+        bodies, labels = lines, None
+    else:
+        if (not isinstance(label_column, int) or width < 2
+                or not -width <= label_column < width):
+            return None
+        if label_column % width == 0:
+            parts = [line.partition(delim) for line in lines]
+            labels, bodies = [p[0] for p in parts], [p[2] for p in parts]
+        elif label_column % width == width - 1:
+            parts = [line.rpartition(delim) for line in lines]
+            labels, bodies = [p[2] for p in parts], [p[0] for p in parts]
+        else:
+            return None
+        labels = [label.decode("ascii") for label in labels]
+        width -= 1
+    # a body of `width` one-byte cells has the delimiter at every odd offset
+    size, seps = 2 * width - 1, delim * (width - 1)
+    for body in bodies:
+        if len(body) != size or body[1::2] != seps:
+            return None
+    bits = np.frombuffer(b"".join(body[::2] for body in bodies), dtype=np.uint8) - ord("0")
+    if (bits > 1).any():
+        return None
+    return bits.reshape(len(bodies), width), labels
+
+
 def load_binary_csv(path, delimiter=None, header=False, label_column=None,
                     name=None) -> Dataset:
-    """Load a 0/1 delimited file; an optional label column becomes truth_labels."""
-    rows, labels = _split_label(_read_rows(path, delimiter), header, label_column)
-    if not set(chain.from_iterable(rows)) <= {"0", "1"}:
-        r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
-                          for c, cell in enumerate(row) if cell not in ("0", "1"))
-        raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
-    # every cell is exactly one character, so the joined text is the matrix
-    text = "".join(chain.from_iterable(rows)).encode("ascii")
-    bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
-    bits = bits.reshape(len(rows), len(rows[0]))
+    """Load a 0/1 delimited file; an optional label column becomes truth_labels.
+
+    A plain file (see `_plain_bits`) is read straight from its bytes; any
+    other file goes through the general reader, with the same result.
+    """
+    raw = Path(path).read_bytes()
+    plain = None if header else _plain_bits(raw, delimiter, label_column)
+    if plain is not None:
+        bits, labels = plain
+    else:
+        rows, labels = _split_label(_read_rows(path, delimiter, raw), header, label_column)
+        if not set(chain.from_iterable(rows)) <= {"0", "1"}:
+            r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
+                              for c, cell in enumerate(row) if cell not in ("0", "1"))
+            raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
+        # every cell is exactly one character, so the joined text is the matrix
+        text = "".join(chain.from_iterable(rows)).encode("ascii")
+        bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
+        bits = bits.reshape(len(rows), len(rows[0]))
     return Dataset(bits, name=name or Path(path).stem, truth_labels=labels)
 
 
@@ -225,7 +305,8 @@ def parse_schema_file(path) -> FeatureSchema:
     '#' starts a comment.
     """
     feats = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    text = _decode(Path(path).read_bytes(), path)
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

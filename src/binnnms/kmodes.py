@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import BinaryVector, hamming_blocks, pack_bits
+from .binvec import BinaryVector, hamming_blocks, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -38,13 +38,14 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     Prototypes start from k distinct points sampled without replacement;
     assignment ties go to the lowest cluster index, vote ties keep the
     previous prototype's bit. A cluster that empties is reseeded with the
-    point farthest from its prototype. `distinct` is
-    `np.unique(data.bits, axis=0)`, computed here when not given.
+    point farthest from its prototype. `distinct` is the distinct rows of
+    `data.bits` in `unique_rows` order (that of `np.unique(..., axis=0)`),
+    computed here when not given.
     """
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}], got {k}")
     if distinct is None:
-        distinct = np.unique(data.bits, axis=0)
+        distinct = data.bits[unique_rows(data.bits)[0]]
     if k > distinct.shape[0]:
         raise ValueError(f"k = {k} exceeds the {distinct.shape[0]} distinct points")
     rng = np.random.default_rng(seed)
@@ -79,7 +80,7 @@ def kmodes_repeated(data: Dataset, k: int, runs: int, base_seed: int = 0,
     """Independent restarts with seeds base_seed .. base_seed+runs-1."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    distinct = np.unique(data.bits, axis=0)
+    distinct = data.bits[unique_rows(data.bits)[0]]
     return [kmodes_run(data, k, seed=base_seed + r, max_iter=max_iter,
                        distinct=distinct)
             for r in range(runs)]

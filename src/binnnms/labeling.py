@@ -18,6 +18,7 @@ from .binvec import (
     hamming_blocks,
     hamming_topk,
     pack_bits,
+    unique_rows,
 )
 from .median import group_majority_bits
 
@@ -43,9 +44,8 @@ class ClusterLabeling:
 def _distinct(bits: np.ndarray):
     """(packed distinct rows, inverse, counts) of a bit matrix; the packed
     matrix is `distinct[inverse]`."""
-    distinct, inverse, counts = np.unique(pack_bits(bits), axis=0,
-                                          return_inverse=True, return_counts=True)
-    return distinct, inverse.reshape(-1), counts
+    first, inverse, counts = unique_rows(bits)
+    return pack_bits(bits[first]), inverse, counts
 
 
 def epsilon_bits(bits, k2: int, mode="mean_all") -> float:

@@ -55,7 +55,23 @@ def nmi(truth, pred, normalization: str = "geometric") -> float:
     """
     if normalization not in NMI_NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
+    return _nmi(contingency(truth, pred), normalization)
+
+
+def arand(truth, pred) -> float:
+    """Hubert-Arabie adjusted Rand index; 1 for identical partitions,
+    about 0 for independent ones, negative for systematic disagreement."""
+    return _arand(contingency(truth, pred))
+
+
+def scores(truth, pred) -> tuple[float, float]:
+    """(nmi, arand) of two labelings from one contingency table; the same
+    values as `nmi(truth, pred)` and `arand(truth, pred)`."""
     ct = contingency(truth, pred)
+    return _nmi(ct, "geometric"), _arand(ct)
+
+
+def _nmi(ct: Contingency, normalization: str) -> float:
     hu = _entropy(ct.row_marginals, ct.n)
     hv = _entropy(ct.col_marginals, ct.n)
     if hu == 0.0 or hv == 0.0:
@@ -73,11 +89,7 @@ def nmi(truth, pred, normalization: str = "geometric") -> float:
     return min(1.0, max(0.0, mi / denom))
 
 
-def arand(truth, pred) -> float:
-    """Hubert-Arabie adjusted Rand index; 1 for identical partitions,
-    about 0 for independent ones, negative for systematic disagreement."""
-    ct = contingency(truth, pred)
-
+def _arand(ct: Contingency) -> float:
     def comb2(x):
         return x * (x - 1) / 2.0
 

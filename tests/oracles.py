@@ -7,7 +7,8 @@ draw the same seeded initial prototypes as the library.
 
 import math
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from pathlib import Path
 
 
 def hamming_ref(a, b):
@@ -185,3 +186,64 @@ def arand_ref(truth, pred):
     if max_index == expected:
         return 1.0
     return (agree_both - expected) / (max_index - expected)
+
+
+def binary_csv_ref(path, delimiter=None, header=False, label_column=None,
+                   name=None):
+    """(bits, labels, name) as the general text reader of `load_binary_csv`
+    gives them: decode, split lines into stripped cells, drop blank lines,
+    resolve and cut the label column, check every cell is "0" or "1".
+
+    Raises `DataFormatError` with the reader's message on a malformed file.
+    A file whose only column is the label gives an (n, 0) matrix here.
+    """
+    import numpy as np
+
+    from binnnms.ingest import DataFormatError
+
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if delimiter is None:
+            cells = line.split(",") if "," in line else line.split()
+        else:
+            cells = line.split(delimiter)
+        rows.append([c.strip() for c in cells])
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    names = None
+    if header:
+        names = rows[0]
+        rows = rows[1:]
+        if not rows:
+            raise DataFormatError("no data rows after header")
+    idx = None
+    if label_column is not None:
+        if isinstance(label_column, int):
+            idx = label_column
+        elif names is not None and label_column in names:
+            idx = names.index(label_column)
+        else:
+            raise DataFormatError(f"label column {label_column!r} not found in header")
+    width = len(rows[0])
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(f"row {r}: ragged row ({len(row)} cells, expected {width})")
+    labels = None
+    if idx is not None:
+        if not -width <= idx < width:
+            raise DataFormatError(
+                f"label column {idx} out of range for rows of {width} cells")
+        if idx < 0:
+            idx += width
+        labels = [row[idx] for row in rows]
+        rows = [row[:idx] + row[idx + 1:] for row in rows]
+    if not set(chain.from_iterable(rows)) <= {"0", "1"}:
+        r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
+                          for c, cell in enumerate(row) if cell not in ("0", "1"))
+        raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
+    text = "".join(chain.from_iterable(rows)).encode("ascii")
+    bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
+    return bits.reshape(len(rows), len(rows[0])), labels, name or Path(path).stem

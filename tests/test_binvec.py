@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from binnnms import binvec
 from binnnms.binvec import (
@@ -12,6 +12,7 @@ from binnnms.binvec import (
     hamming_blocks,
     hamming_topk,
     pack_bits,
+    unique_rows,
 )
 from oracles import hamming_ref, knn_ref
 
@@ -181,6 +182,31 @@ class TestHammingTopk:
         assert idx.dtype == np.int64
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(dist, want_dist)
+
+
+class TestUniqueRows:
+    @given(st.sampled_from([1, 7, 63, 64, 65, 130, 240]),
+           st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_np_unique(self, d, pool, m, seed):
+        # m rows drawn from a small pool, so most rows repeat
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 2, size=(pool, d), dtype=np.uint8)
+        bits = rows[rng.integers(0, pool, size=m)]
+        _, first, inverse, counts = np.unique(
+            bits, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        got = unique_rows(bits)
+        assert got[0].tolist() == first.tolist()
+        assert got[1].tolist() == inverse.reshape(-1).tolist()
+        assert got[2].tolist() == counts.tolist()
+
+    def test_order_is_by_bits_not_by_packed_words(self):
+        # by little-endian packed words the order would be 2, 0, 1
+        bits = np.array([[1] + [0] * 64, [0] * 63 + [1, 0], [0] * 65])
+        first, inverse, counts = unique_rows(bits)
+        assert first.tolist() == [2, 1, 0]
+        assert inverse.tolist() == [2, 1, 0]
+        assert counts.tolist() == [1, 1, 1]
 
 
 class TestKeyDtype:

@@ -285,6 +285,33 @@ class TestUciDataErrors:
         assert "data error" in capsys.readouterr().err
 
 
+class TestUndecodableData:
+    @pytest.mark.parametrize("command", ["summary", "cluster"])
+    @pytest.mark.parametrize("categorical", [False, True], ids=["binary", "categorical"])
+    def test_byte_ff_is_data_error(self, tmp_path, capsys, command, categorical):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"0,1,a\n1,0,\xff\n")
+        argv = [command, "--data", str(f), "--label-column", "-1"]
+        if categorical:
+            schema = tmp_path / "s.schema"
+            schema.write_text("x binary\ny binary\n")
+            argv += ["--schema", str(schema)]
+        if command == "cluster":
+            argv += ["--k1", "1", "--k2", "1", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad.csv" in err and "decode" in err
+
+
+class TestLabelOnlyFile:
+    @pytest.mark.parametrize("text", ["a\nb\n", " a\n b\n"], ids=["plain", "padded"])
+    def test_is_data_error(self, tmp_path, capsys, text):
+        f = tmp_path / "labels.csv"
+        f.write_text(text)
+        assert main(["summary", "--data", str(f), "--label-column", "0"]) == EXIT_DATA
+        assert "no data cells" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_console_script(self, toy, tmp_path):
         proc = subprocess.run(

@@ -1,5 +1,10 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binnnms import ingest
 from binnnms.binvec import Feature, FeatureSchema
@@ -19,6 +24,7 @@ from binnnms.ingest import (
     write_binary_csv,
     zoo_schema,
 )
+from oracles import binary_csv_ref
 
 
 class TestDataset:
@@ -120,6 +126,169 @@ class TestBinaryCsv:
         again = load_binary_csv(out, label_column=-1)
         assert np.array_equal(ds.bits, again.bits)
         assert ds.truth_labels == again.truth_labels
+
+
+def _workloads():
+    """The benchmark's data writer, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@st.composite
+def csv_files(draw):
+    """(text, load_binary_csv keyword arguments, plain): a small binary CSV
+    built from plain pieces, with near-plain defects mixed in unless
+    `plain`, in which case the file must take the byte-level reader."""
+    plain = draw(st.booleans())
+    defect = (lambda: False) if plain else (lambda: draw(st.integers(0, 5)) == 0)
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    delimiter = draw(st.sampled_from([None, ",", ";"]))
+    sep = delimiter or ","
+    where = draw(st.sampled_from(
+        ["none", "first", "last", "neg"] if plain
+        else ["none", "first", "last", "neg", "interior", "name"]))
+    if plain and delimiter is None and where == "none":
+        width = max(width, 2)  # "," is taken as the delimiter only when present
+    ascii_label = st.text("abcxyz019_-.", min_size=1, max_size=3)
+    label = (ascii_label if plain else
+             st.one_of(ascii_label, st.sampled_from(["", "é", "ü x", "c 1", "x\ty"])))
+    rows = []
+    for _ in range(n):
+        cells = [draw(st.sampled_from("01")) for _ in range(width)]
+        if defect():
+            c = draw(st.integers(0, width - 1))
+            cells[c] = draw(st.sampled_from(["01", "2", "", " 0", "1 ", "\t1", "x"]))
+        if defect() and len(cells) > 1:
+            del cells[draw(st.integers(0, len(cells) - 1))]  # ragged row
+        rows.append(cells)
+    kwargs = {"delimiter": delimiter}
+    header = None
+    if where in ("first", "name"):
+        pos = 0
+    elif where == "interior" and width >= 2:
+        pos = 1
+    else:
+        pos = None
+    for cells in rows:
+        if pos is None and where != "none":
+            cells.append(draw(label))
+        elif pos is not None:
+            cells.insert(pos, draw(label))
+    if where == "first":
+        kwargs["label_column"] = 0
+    elif where in ("last", "interior"):
+        kwargs["label_column"] = (pos if pos is not None else width)
+    elif where == "neg":
+        kwargs["label_column"] = -1
+    elif where == "name":
+        kwargs.update(header=True, label_column="class")
+        header = ["class"] + [f"x{j}" for j in range(width)]
+    lines = [sep.join(cells) for cells in ([header] if header else []) + rows]
+    newline = "\r\n" if defect() else "\n"
+    if defect():
+        lines = [line + draw(st.sampled_from([" ", "\t", " \t"])) for line in lines]
+    if defect():
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
+    text = newline.join(lines) + (newline if plain or draw(st.booleans()) else "")
+    return text, kwargs, plain
+
+
+def _outcome(load, path, kwargs):
+    try:
+        return load(path, **kwargs)
+    except DataFormatError as exc:
+        return f"DataFormatError: {exc}"
+
+
+class TestPlainReader:
+    @given(csv_files())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_general_reader(self, tmp_path, case):
+        text, kwargs, plain = case
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode("utf-8"))
+        want = _outcome(binary_csv_ref, f, kwargs)
+        got = _outcome(load_binary_csv, f, kwargs)
+        if plain:
+            assert ingest._plain_bits(f.read_bytes(), kwargs["delimiter"],
+                                      kwargs.get("label_column")) is not None
+        if isinstance(want, str):
+            assert got == want
+        elif want[0].shape[1] == 0:  # the label was the only column
+            assert got.startswith("DataFormatError") and "no data cells" in got
+        else:
+            bits, labels, name = want
+            assert isinstance(got, Dataset), got
+            assert got.bits.tolist() == bits.tolist()
+            assert got.truth_labels == labels
+            assert got.name == name
+
+    def test_benchmark_csv_is_plain(self, tmp_path):
+        workloads = _workloads()
+        f = tmp_path / "planted.csv"
+        workloads.write_planted_csv(f, workloads.Shape("t", 40, 64, 3, 0.2), 0)
+        plain = ingest._plain_bits(f.read_bytes(), None, -1)
+        assert plain is not None
+        bits, labels, _ = binary_csv_ref(f, label_column=-1)
+        assert plain[0].tolist() == bits.tolist() and plain[1] == labels
+
+    def test_spect_style_csv_is_plain(self, tmp_path):
+        f = tmp_path / "SPECT.csv"
+        f.write_text("1,0,1,1\n0,1,1,0\n1,0,0,0\n")
+        plain = ingest._plain_bits(f.read_bytes(), ",", 0)
+        assert plain is not None
+        assert plain[0].tolist() == [[0, 1, 1], [1, 1, 0], [0, 0, 0]]
+        assert plain[1] == ["1", "0", "1"]
+        assert load_binary_csv(f, delimiter=",", label_column=0).truth_labels == ["1", "0", "1"]
+
+    @pytest.mark.parametrize("text, kwargs", [
+        ("010\n111\n", {"delimiter": "1"}), ("101\n000\n", {"delimiter": "0"}),
+        ("1\n0\n", {"delimiter": " "}), ("1\n0\n", {"delimiter": "\t"}),
+        ("1é0\n0é0\n", {"delimiter": "é"}), ("1;;0\n0;;0\n", {"delimiter": ";;"}),
+        ("1,0\n\n0,0\n", {}), ("\n1,0\n", {}), ("1,0\n0\n", {}), ("0\n1\n", {}),
+        ("", {"delimiter": ","}), ("\n", {"delimiter": ","}),
+        ("0,1\n011\n", {}), ("0,1,a\n011,b\n", {"label_column": -1}),
+        ("0,1,0\n1,0,0\n", {"label_column": 1}), ("0,1,0\n1,0,0\n", {"label_column": -2}),
+        ("0,1,1\n1,0,0\n", {"label_column": -3}), ("0,1\n1,0\n", {"label_column": True}),
+        ("0,1\n1,0\n", {"label_column": "x"}),
+    ])
+    def test_edge_cases_match_general_reader(self, tmp_path, text, kwargs):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        want = _outcome(binary_csv_ref, f, kwargs)
+        got = _outcome(load_binary_csv, f, kwargs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.bits.tolist() == want[0].tolist()
+            assert got.truth_labels == want[1]
+
+    @pytest.mark.parametrize("text, kwargs", [
+        ("a\nb\n", {"label_column": 0}),  # plain bytes
+        ("a\r\nb\r\n", {"label_column": -1}),  # CRLF: the general reader
+        ("class\na\nb\n", {"header": True, "label_column": "class"}),
+    ])
+    def test_label_as_only_column_is_data_error(self, tmp_path, text, kwargs):
+        f = tmp_path / "d.csv"
+        f.write_text(text, newline="")
+        with pytest.raises(DataFormatError, match="no data cells"):
+            load_binary_csv(f, **kwargs)
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"0,1,a\n1,0,\xff\n")
+        with pytest.raises(DataFormatError, match="d.csv: cannot decode"):
+            load_binary_csv(f, label_column=-1)
+        with pytest.raises(DataFormatError, match="d.csv: cannot decode"):
+            load_categorical_csv(f, zoo_schema())
 
 
 class TestCategoricalCsv:
@@ -248,6 +417,12 @@ class TestSchemaFile:
         f = tmp_path / "s.schema"
         f.write_text("hair wat\n")
         with pytest.raises(DataFormatError):
+            parse_schema_file(f)
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        f = tmp_path / "s.schema"
+        f.write_bytes(b"hair binary\n\xff binary\n")
+        with pytest.raises(DataFormatError, match="s.schema: cannot decode"):
             parse_schema_file(f)
 
     def test_zoo_schema_width(self):

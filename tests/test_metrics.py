@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset
 from binnnms.labeling import ClusterLabeling
-from binnnms.metrics import arand, contingency, nmi, quantization_error
+from binnnms.metrics import arand, contingency, nmi, quantization_error, scores
 from oracles import all_vectors, arand_ref, hamming_ref, nmi_ref
 
 
@@ -96,6 +96,24 @@ labelings = st.integers(2, 50).flatmap(
     lambda n: st.tuples(
         st.lists(st.integers(0, 5), min_size=n, max_size=n),
         st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+
+
+class TestScores:
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                    min_size=1, max_size=80),
+           st.sampled_from(["int", "str", "numpy", "tolist"]))
+    @settings(max_examples=200)
+    def test_equals_nmi_and_arand(self, pairs, kind):
+        convert = {"int": list, "str": lambda xs: [f"c{x}" for x in xs],
+                   "numpy": np.array, "tolist": lambda xs: np.array(xs).tolist()}[kind]
+        truth, pred = (convert([pair[i] for pair in pairs]) for i in (0, 1))
+        assert scores(truth, pred) == (nmi(truth, pred), arand(truth, pred))
+
+    def test_numpy_labels_as_list_give_the_same_scores(self):
+        truth = ["a", "b", "a", "c", "b", "a"]
+        pred = np.array([2, 0, 2, 1, 0, 0])
+        assert scores(truth, pred.tolist()) == (nmi(truth, list(pred)),
+                                                arand(truth, list(pred)))
 
 
 class TestOracleAgreement:
