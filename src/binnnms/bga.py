@@ -69,9 +69,13 @@ def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
     """One median-shift step for every row of the (m, d) bit matrix x."""
     idx, _ = hamming_topk(pack_bits(x), data.packed, k1)
     out = np.empty_like(x)
-    # per row: k1 * d neighbor bits gathered, d int64 vote counts
+    # a vote count fits the narrowest type that holds k1, twice it the
+    # narrowest that holds 2 * k1
+    count, tie_test = np.min_scalar_type(k1), np.min_scalar_type(2 * k1)
+    # per row: k1 * d neighbor bits gathered, d counts of at most 8 bytes
     for sl in row_blocks(len(x), (k1 + 8) * data.d):
-        twice = 2 * data.bits[idx[sl]].sum(axis=1, dtype=np.int64)
+        ones = data.bits[idx[sl]].sum(axis=1, dtype=count)
+        twice = 2 * ones.astype(tie_test, copy=False)
         out[sl] = np.where(twice == k1, x[sl], twice > k1)
     return out
 

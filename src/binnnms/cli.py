@@ -19,6 +19,7 @@ from .binvec import DimensionMismatch
 from .ingest import (
     DataFormatError,
     Dataset,
+    _decode,
     dataset_summary,
     load_binary_csv,
     load_categorical_csv,
@@ -87,17 +88,18 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_labels(path: Path, labels) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,label\n")
-        for i, lab in enumerate(labels):
-            fh.write(f"{i},{int(lab)}\n")
+def _write_labels(path: Path, labels: np.ndarray) -> None:
+    path.write_text("index,label\n" + "".join(
+        f"{i},{lab}\n" for i, lab in enumerate(labels.tolist())))
 
 
 def _write_prototypes(path: Path, prototypes) -> None:
-    with open(path, "w") as fh:
-        for p in prototypes:
-            fh.write(" ".join(str(b) for b in p.bits) + "\n")
+    """One line per prototype: its bits as digits separated by spaces."""
+    bits = np.stack([p.bits for p in prototypes])
+    text = np.full((bits.shape[0], 2 * bits.shape[1]), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = bits + ord("0")
+    text[:, -1] = ord("\n")
+    path.write_bytes(text.tobytes())
 
 
 # --- binnnms / kmodes pipelines --------------------------------------------
@@ -144,8 +146,6 @@ def cmd_cluster(args) -> int:
         metrics.update(_scores(data, labels))
     else:
         results = kmodes_repeated(data, args.k, args.runs, base_seed=args.seed)
-        best = min(results, key=lambda r: (r.total_inertia, r.seed))
-        labels, prototypes = best.labels, best.prototypes
         per_run = []
         for r in results:
             entry = {"seed": r.seed, "total_inertia": r.total_inertia,
@@ -153,14 +153,18 @@ def cmd_cluster(args) -> int:
                      "quantization_error": quantization_error(data, r)}
             entry.update(_scores(data, r.labels))
             per_run.append(entry)
+        best, best_entry = min(
+            zip(results, per_run),
+            key=lambda pair: (pair[0].total_inertia, pair[0].seed))
+        labels, prototypes = best.labels, best.prototypes
         metrics = {
             "algo": "kmodes", "k": args.k, "runs": args.runs, "seed": args.seed,
             "num_clusters": best.k, "single_cluster": best.k == 1,
             "best_seed": best.seed, "total_inertia": best.total_inertia,
-            "quantization_error": quantization_error(data, best),
+            "quantization_error": best_entry["quantization_error"],
+            "nmi": best_entry["nmi"], "arand": best_entry["arand"],
             "runs_detail": per_run,
         }
-        metrics.update(_scores(data, labels))
         if data.truth_labels is not None and args.runs > 1:
             vals = np.array([e["nmi"] for e in per_run], dtype=float)
             avals = np.array([e["arand"] for e in per_run], dtype=float)
@@ -272,7 +276,7 @@ def cmd_sweep(args) -> int:
 
 def _read_label_file(path) -> list[str]:
     labels = []
-    for line in Path(path).read_text().splitlines():
+    for line in _decode(Path(path).read_bytes(), path).splitlines():
         line = line.strip()
         if not line or line.lower().startswith("index,"):
             continue

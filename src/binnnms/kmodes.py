@@ -66,8 +66,8 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
         # so dist[:, j] still holds the distances to it
         for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
             proto[j] = data.bits[dist[:, j].argmax()]
-
-    dist = _distance_matrix(data, proto)
+    else:  # stopped at max_iter: dist predates the last prototype update
+        dist = _distance_matrix(data, proto)
     total = float(dist[np.arange(data.n), labels].sum())
     return KModesResult(labels=labels,
                         prototypes=[BinaryVector(row) for row in proto],

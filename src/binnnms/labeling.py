@@ -96,6 +96,24 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
     upacked, inverse, _ = _distinct(bits)
     u = upacked.shape[0]
 
+    if epsilon < 1:  # distinct rows are at distance >= 1: no edges
+        comp, ncomp = np.arange(u), u
+    else:
+        comp, ncomp = _components(upacked, epsilon)
+
+    # renumber components by first appearance over the original ordering
+    _, first = np.unique(comp[inverse], return_index=True)
+    rank = np.empty(ncomp, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(ncomp)
+    labels = rank[comp][inverse]
+    protos = group_majority_bits(bits, labels, ncomp)
+    return ClusterLabeling(labels, [BinaryVector(row) for row in protos])
+
+
+def _components(upacked: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:
+    """(component per row, component count) of the epsilon-threshold graph
+    over distinct packed rows, by a BFS from each unreached row in order."""
+    u = upacked.shape[0]
     comp = np.full(u, -1, dtype=np.int64)
     ncomp = 0
     for seed in range(u):
@@ -110,14 +128,7 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
             frontier = np.flatnonzero(near & (comp == -1))
             comp[frontier] = ncomp
         ncomp += 1
-
-    # renumber components by first appearance over the original ordering
-    _, first = np.unique(comp[inverse], return_index=True)
-    rank = np.empty(ncomp, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(ncomp)
-    labels = rank[comp][inverse]
-    protos = group_majority_bits(bits, labels, ncomp)
-    return ClusterLabeling(labels, [BinaryVector(row) for row in protos])
+    return comp, ncomp
 
 
 def compute_epsilon(points: list[BinaryVector], k2: int, mode="mean_all") -> float:

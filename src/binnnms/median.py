@@ -71,12 +71,16 @@ def group_majority_bits(bits: np.ndarray, groups: np.ndarray, k: int,
     else 0.
     """
     sizes = np.bincount(groups, minlength=k)
-    rows = bits[np.argsort(groups, kind="stable")]  # group by group
+    # group by group; a narrow key takes numpy's radix sort
+    order = np.argsort(groups.astype(np.min_scalar_type(k)), kind="stable")
+    rows = np.take(bits, order, axis=0)
     ends = np.cumsum(sizes).tolist()
-    # a slice sum casts to int64 in small buffers, never the whole matrix
-    ones = np.stack([rows[e - s:e].sum(axis=0, dtype=np.int64)
+    # every count fits the narrowest type that holds the largest group size;
+    # only the (k, d) counts widen, for the tie test
+    count = np.min_scalar_type(sizes.max())
+    ones = np.stack([rows[e - s:e].sum(axis=0, dtype=count)
                      for s, e in zip(sizes.tolist(), ends)])
-    twice, sizes = 2 * ones, sizes[:, None]
+    twice, sizes = 2 * ones.astype(np.int64), sizes[:, None]
     tie = 0 if tie_bits is None else tie_bits
     return np.where(twice == sizes, tie, twice > sizes).astype(np.uint8)
 

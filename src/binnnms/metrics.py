@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binvec import DimensionMismatch, pack_bits
 from .ingest import Dataset
 
 NMI_NORMALIZATIONS = ("geometric", "arithmetic", "max")
@@ -118,5 +119,9 @@ def quantization_error(data: Dataset, result) -> float:
     if labels.max() >= len(protos):
         raise ValueError(f"missing prototype for cluster {int(labels.max())}")
     proto_bits = np.stack([p.bits for p in protos])
-    mism = (data.bits != proto_bits[labels]).sum(axis=1)
-    return float(mism.mean())
+    if proto_bits.shape[1] != data.d:
+        raise DimensionMismatch(
+            f"prototype dim {proto_bits.shape[1]} != dataset dim {data.d}")
+    # pad bits are zero in both packings, so the word popcounts are exact
+    mism = np.bitwise_count(data.packed ^ pack_bits(proto_bits)[labels])
+    return int(mism.sum(dtype=np.int64)) / data.n

@@ -228,6 +228,26 @@ class TestBatchedEngine:
         assert [x.to01() for x in t.iterates] == ["01", "10", "01"]
         assert t.termination == CYCLE
 
+    @pytest.mark.parametrize("k1", [255, 256])
+    def test_matches_reference_at_count_type_limits(self, k1):
+        # from 000001 the 256 nearest rows are the 128 copies of each of
+        # 000000 and 000011, so the last two bits tie at k1 = 256 and lose
+        # at 255; from 111111 every vote is unanimous, a count of k1 that
+        # doubles past 255
+        rng = np.random.default_rng(k1)
+        pool = np.array([[0] * 6, [0, 0, 0, 0, 1, 1], [1] * 6])
+        rows = pool[rng.permutation(np.repeat([0, 1, 2], [128, 128, 300]))].tolist()
+        cands = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [1] * 6, [0, 1, 1, 1, 1, 1],
+                 *rng.integers(0, 2, size=(4, 6)).tolist()]
+        cfg = BgaConfig(k1=k1, j_max=4)
+        trajs = ascend_all(Dataset(np.array(rows)),
+                           [BinaryVector(c) for c in cands], cfg)
+        for c, t in zip(cands, trajs):
+            its, term = ascend_ref(rows, c, k1, cfg.j_max)
+            assert [x.bits.tolist() for x in t.iterates] == its
+            assert t.termination == term
+        assert trajs[0].endpoint.to01() == ("000001" if k1 == 256 else "000000")
+
     def test_matches_reference_across_blocks(self):
         # 3000 rows repeating 300 distinct 12-bit vectors tie at the k1
         # boundary; at 10 queries per distance block, the 30-odd distinct

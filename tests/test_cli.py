@@ -7,7 +7,15 @@ import pytest
 
 from binnnms.bga import BgaConfig, ascend_all, ascend_bits
 from binnnms.binvec import BinaryVector
-from binnnms.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _trajectory_errors, main
+from binnnms.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _trajectory_errors,
+    _write_labels,
+    _write_prototypes,
+    main,
+)
 from binnnms.ingest import Dataset
 from binnnms.median import WeightedSample, median_center
 
@@ -229,6 +237,35 @@ class TestEval:
         rc = main(["eval", "--truth", str(t), "--pred", str(t)])
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["nmi"] == 1.0
+
+    @pytest.mark.parametrize("side", ["truth", "pred"])
+    def test_undecodable_label_file_is_data_error(self, tmp_path, capsys, side):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("a\nb\n")
+        bad.write_bytes(b"a\n\xff\n")
+        files = {"truth": good, "pred": good, side: bad}
+        assert main(["eval", "--truth", str(files["truth"]),
+                     "--pred", str(files["pred"])]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad.txt" in err and "decode" in err
+
+
+class TestWriters:
+    @pytest.mark.parametrize("k, d", [(1, 1), (3, 7), (10, 240)])
+    def test_prototypes_match_per_bit_formatter(self, tmp_path, k, d):
+        rng = np.random.default_rng(k * d)
+        protos = [BinaryVector(r) for r in rng.integers(0, 2, size=(k, d))]
+        _write_prototypes(tmp_path / "p.txt", protos)
+        want = "".join(" ".join(str(b) for b in p.bits) + "\n" for p in protos)
+        assert (tmp_path / "p.txt").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_labels_match_per_line_formatter(self, tmp_path, n):
+        labels = np.random.default_rng(n).integers(0, 300, size=n)
+        _write_labels(tmp_path / "l.csv", labels)
+        want = "index,label\n" + "".join(f"{i},{int(lab)}\n"
+                                         for i, lab in enumerate(labels))
+        assert (tmp_path / "l.csv").read_bytes() == want.encode()
 
 
 class TestEncode:

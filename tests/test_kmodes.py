@@ -6,7 +6,7 @@ from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_repeated, kmodes_run
 from binnnms.median import WeightedSample, median_center
-from oracles import kmodes_ref
+from oracles import hamming_ref, kmodes_ref
 
 
 def dataset(strings):
@@ -82,6 +82,24 @@ class TestKModesRun:
         total = sum(int((ds.bits[i] != res.prototypes[res.labels[i]].bits).sum())
                     for i in range(ds.n))
         assert res.total_inertia == total
+
+    @pytest.mark.parametrize("max_iter", [1, 100])
+    def test_total_inertia_is_brute_force_inertia(self, max_iter):
+        # max_iter 1 stops every run before it can converge; at 100 every
+        # run converges and its total is the last assignment's inertia
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ds = Dataset(rng.integers(0, 2, size=(30, 7)))
+            res = kmodes_run(ds, 4, seed=seed, max_iter=max_iter)
+            protos = [p.bits.tolist() for p in res.prototypes]
+            want = sum(hamming_ref(row, protos[lab])
+                       for row, lab in zip(ds.bits.tolist(), res.labels.tolist()))
+            assert res.total_inertia == want
+            if max_iter == 1:
+                assert res.iterations == 1
+            else:
+                assert res.iterations < max_iter
+                assert res.total_inertia == res.inertia_history[-1]
 
 
 class TestKModesRepeated:

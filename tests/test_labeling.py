@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binnnms import labeling
 from binnnms.binvec import BinaryVector, DimensionMismatch
 from binnnms.labeling import (
     ClusterLabeling,
@@ -11,7 +12,11 @@ from binnnms.labeling import (
     label_clusters,
 )
 from binnnms.median import WeightedSample, median_center
-from oracles import epsilon_ref, partition_of_labels, partition_ref
+from oracles import epsilon_ref, majority_ref, partition_of_labels, partition_ref
+
+
+def _no_kernel_call(*args):
+    raise AssertionError("hamming_blocks was called")
 
 
 def bv(s):
@@ -211,6 +216,20 @@ class TestMatrixFunctions:
         assert lab.num_clusters == 2
         assert partition_of_labels(lab.labels.tolist()) == \
             partition_ref(rows.tolist(), 1)
+
+    @given(dup_rows, st.sampled_from([0, 0.5, 0.999]))
+    @settings(max_examples=150)
+    def test_labeling_below_one_makes_no_kernel_call(self, rows, eps):
+        # distinct rows are at distance >= 1, so each is its own component
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "hamming_blocks", _no_kernel_call)
+            lab = label_bits(np.array(rows), eps)
+        assert partition_of_labels(lab.labels.tolist()) == partition_ref(rows, eps)
+        distinct = list(dict.fromkeys(map(tuple, rows)))
+        assert lab.labels.tolist() == [distinct.index(tuple(r)) for r in rows]
+        for cid in range(lab.num_clusters):
+            members = [rows[i] for i in np.flatnonzero(lab.labels == cid)]
+            assert lab.prototypes[cid].bits.tolist() == majority_ref(members)
 
     def test_rejects_non_binary_and_non_matrix(self):
         with pytest.raises(ValueError):

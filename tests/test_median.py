@@ -89,6 +89,34 @@ class TestMajorityBits:
             want = majority_ref(members, tie_bits=tie[g]) if members else tie[g]
             assert got[g].tolist() == want
 
+    @pytest.mark.parametrize("size", [255, 256, 65535, 65536])
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_group_majority_at_count_type_limits(self, size, anchored):
+        # group 0 has `size` rows, the most a uint8 or uint16 count holds
+        # (255, 65535) or one more (256, 65536); group 1 is empty and
+        # group 2 ties in four columns
+        rng = np.random.default_rng(size)
+        big = np.zeros((size, 6), dtype=np.uint8)
+        big[:, 0] = 1                   # unanimous: the count is `size`
+        big[:size // 2, 1] = 1          # a tie when `size` is even
+        big[:size // 2 + 1, 2] = 1      # a majority of one or two
+        big[:(size - 1) // 2, 3] = 1    # a minority of one or two
+        big[:, 4] = rng.integers(0, 2, size)
+        small = np.array([[1, 0, 1, 0, 1, 0], [0, 1, 1, 0, 0, 1]], dtype=np.uint8)
+        bits = np.vstack([big, small])
+        groups = np.r_[np.zeros(size, dtype=np.int64), 2, 2]
+        perm = rng.permutation(len(bits))
+        bits, groups = bits[perm], groups[perm]
+        tie = (np.array([[1, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0],
+                         [0, 1, 0, 1, 1, 1]], dtype=np.uint8) if anchored else None)
+        got = group_majority_bits(bits, groups, 3, tie)
+        for g in range(3):
+            members = bits[groups == g].tolist()
+            tie_g = tie[g].tolist() if anchored else None
+            want = (majority_ref(members, tie_bits=tie_g) if members
+                    else tie_g or [0] * 6)
+            assert got[g].tolist() == want
+
 
 class TestInertia:
     def test_zero_at_own_point(self):

@@ -160,6 +160,26 @@ class TestQuantizationError:
         with pytest.raises(ValueError):
             quantization_error(ds, _labeling([0, 1], ["00"]))
 
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 240])
+    def test_matches_brute_force_count(self, d):
+        # widths on both sides of the 64-bit word boundary, whose pad bits
+        # must not count
+        rng = np.random.default_rng(d)
+        ds = Dataset(rng.integers(0, 2, size=(40, d)))
+        protos = rng.integers(0, 2, size=(5, d)).tolist()
+        labels = rng.integers(0, 5, size=40)
+        want = sum(hamming_ref(row, protos[lab]) for row, lab
+                   in zip(ds.bits.tolist(), labels.tolist())) / ds.n
+        got = quantization_error(
+            ds, ClusterLabeling(labels, [BinaryVector(p) for p in protos]))
+        assert got == want
+
+    def test_prototype_width_mismatch(self):
+        # 63 and 64 bits pack into the same single word
+        ds = Dataset(np.zeros((2, 64), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            quantization_error(ds, _labeling([0, 0], ["0" * 63]))
+
     @given(st.integers(0, 1000))
     @settings(max_examples=40)
     def test_median_prototypes_are_optimal(self, seed):
