@@ -3,8 +3,8 @@
 Each step replaces the current iterate with the component-wise majority vote
 of its k1 nearest dataset points (ties keep the current iterate's bit, which
 makes fixed points stable). `ascend_bits` is the one engine: it steps every
-candidate's ascent together, in rounds, on the shared blocked Hamming top-k.
-`ascend_all` and `ascend` are its `BinaryVector` front ends.
+candidate's ascent together, in rounds, on the shared blocked Hamming top-k,
+and returns the iterates of each round as matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binvec import (
-    BinaryVector,
     DimensionMismatch,
     bit_matrix,
     hamming_topk,
@@ -44,22 +43,6 @@ class BgaConfig:
             raise ValueError("j_max must be at least 1")
 
 
-@dataclass
-class AscentTrajectory:
-    """The iterate sequence x_0 .. x_J of one ascent and why it stopped."""
-
-    iterates: list[BinaryVector]
-    termination: str
-
-    @property
-    def steps(self) -> int:
-        return len(self.iterates) - 1
-
-    @property
-    def endpoint(self) -> BinaryVector:
-        return self.iterates[-1]
-
-
 def _check_k1(data: Dataset, k1: int) -> None:
     if not 1 <= k1 <= data.n:
         raise ValueError(f"k1 must be in [1, {data.n}], got {k1}")
@@ -78,19 +61,6 @@ def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
         twice = 2 * ones.astype(tie_test, copy=False)
         out[sl] = np.where(twice == k1, x[sl], twice > k1)
     return out
-
-
-def median_shift_step(data: Dataset, x: BinaryVector, k1: int) -> BinaryVector:
-    """Majority vote of the k1 nearest neighbors of x, ties keeping x's bits."""
-    if x.dim != data.d:
-        raise DimensionMismatch(f"point dim {x.dim} != dataset dim {data.d}")
-    _check_k1(data, k1)
-    return BinaryVector(_vote(data, x.bits[None], k1)[0])
-
-
-def ascend(data: Dataset, x0: BinaryVector, cfg: BgaConfig) -> AscentTrajectory:
-    """The ascent from one candidate: `ascend_all(data, [x0], cfg)[0]`."""
-    return ascend_all(data, [x0], cfg)[0]
 
 
 @dataclass
@@ -145,21 +115,3 @@ def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
         going = ~(fixed | cycle)
         active, prev, cur = active[going], cur[going], nxt[going]
     return BatchAscent(rounds, ends, endpoints)
-
-
-def ascend_all(data: Dataset, candidates: list[BinaryVector],
-               cfg: BgaConfig) -> list[AscentTrajectory]:
-    """`ascend_bits` over the stacked candidates, as one trajectory each, in
-    input order; each trajectory keeps its candidate object as x_0."""
-    if not candidates:
-        return []
-    for x0 in candidates:
-        if x0.dim != data.d:
-            raise DimensionMismatch(f"candidate dim {x0.dim} != dataset dim {data.d}")
-    ascent = ascend_bits(data, np.stack([x0.bits for x0 in candidates]), cfg)
-    iterates = [[x0] for x0 in candidates]
-    for ids, bits in ascent.rounds:
-        for c, row in zip(ids.tolist(), bits):
-            iterates[c].append(BinaryVector(row))
-    return [AscentTrajectory(it, TERMINATIONS[e])
-            for it, e in zip(iterates, ascent.ends.tolist())]

@@ -70,9 +70,6 @@ class Dataset:
             self._packed = pack_bits(self.bits)
         return self._packed
 
-    def point(self, i: int) -> BinaryVector:
-        return BinaryVector(self.bits[i])
-
     def points(self) -> list[BinaryVector]:
         return [BinaryVector(row) for row in self.bits]
 

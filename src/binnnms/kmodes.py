@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import BinaryVector, hamming_blocks, pack_bits, unique_rows
+from .binvec import BinaryVector, _key_dtype, hamming_blocks, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -26,9 +26,9 @@ class KModesResult:
 
 
 def _distance_matrix(data: Dataset, proto_bits: np.ndarray) -> np.ndarray:
-    """(n, k) Hamming distances from each data row to each prototype."""
+    """(k, n) Hamming distances from each prototype to each data row."""
     blocks = hamming_blocks(pack_bits(proto_bits), data.packed)
-    return np.concatenate([dist for _, dist in blocks]).T
+    return np.concatenate([dist for _, dist in blocks])
 
 
 def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
@@ -44,6 +44,8 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     """
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}], got {k}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if distinct is None:
         distinct = data.bits[unique_rows(data.bits)[0]]
     if k > distinct.shape[0]:
@@ -53,22 +55,30 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
 
     labels = np.full(data.n, -1, dtype=np.int64)
     history: list[float] = []
-    iterations = 0
+    # each row's least key `distance * k + j` over the clusters j: the key
+    # is unique, so ties go to the lowest j
+    key_type = _key_dtype(k, data.packed.shape[1])
+    cluster = np.arange(k, dtype=key_type)[:, None]
     for iterations in range(1, max_iter + 1):
         dist = _distance_matrix(data, proto)
-        new_labels = dist.argmin(axis=1)  # argmin takes the lowest index on ties
-        history.append(float(dist[np.arange(data.n), new_labels].sum()))
+        key = dist.astype(key_type)
+        key *= k
+        key += cluster
+        key = key.min(axis=0)
+        new_labels = (key % k).astype(np.int64)
+        total = float((key // k).sum())
+        history.append(total)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         proto = group_majority_bits(data.bits, labels, k, tie_bits=proto)
         # an empty cluster's prototype is unchanged here (all its votes tie),
-        # so dist[:, j] still holds the distances to it
+        # so dist[j] still holds the distances to it
         for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
-            proto[j] = data.bits[dist[:, j].argmax()]
+            proto[j] = data.bits[dist[j].argmax()]
     else:  # stopped at max_iter: dist predates the last prototype update
         dist = _distance_matrix(data, proto)
-    total = float(dist[np.arange(data.n), labels].sum())
+        total = float(dist[labels, np.arange(data.n)].sum())
     return KModesResult(labels=labels,
                         prototypes=[BinaryVector(row) for row in proto],
                         total_inertia=total, iterations=iterations, seed=seed,

@@ -13,7 +13,6 @@ import numpy as np
 
 from .binvec import (
     BinaryVector,
-    DimensionMismatch,
     bit_matrix,
     hamming_blocks,
     hamming_topk,
@@ -130,20 +129,3 @@ def _components(upacked: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:
         ncomp += 1
     return comp, ncomp
 
-
-def compute_epsilon(points: list[BinaryVector], k2: int, mode="mean_all") -> float:
-    """`epsilon_bits` over the stacked points."""
-    bits = (np.stack([p.bits for p in points]) if points
-            else np.empty((0, 0), dtype=np.uint8))
-    return epsilon_bits(bits, k2, mode)
-
-
-def label_clusters(converged: list[BinaryVector], epsilon: float) -> ClusterLabeling:
-    """`label_bits` over the stacked points; each prototype equals the median
-    center of its cluster's points (no tie anchor)."""
-    if not converged:
-        raise ValueError("need at least one converged point")
-    d = converged[0].dim
-    if any(p.dim != d for p in converged):
-        raise DimensionMismatch("all points must share one dimension")
-    return label_bits(np.stack([p.bits for p in converged]), epsilon)

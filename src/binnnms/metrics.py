@@ -116,6 +116,8 @@ def quantization_error(data: Dataset, result) -> float:
     protos = result.prototypes
     if labels.shape[0] != data.n:
         raise ValueError("one label per data point required")
+    if labels.min() < 0:
+        raise ValueError(f"negative cluster label {int(labels.min())}")
     if labels.max() >= len(protos):
         raise ValueError(f"missing prototype for cluster {int(labels.max())}")
     proto_bits = np.stack([p.bits for p in protos])

@@ -10,15 +10,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_all, ascend_bits, median_shift_step
+from binnnms.bga import BgaConfig, ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset, load_uci
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
 from binnnms.kmodes import kmodes_repeated, kmodes_run
 from binnnms.knn import knn_query
-from binnnms.labeling import compute_epsilon, label_clusters
-from binnnms.median import WeightedSample, inertia, median_center
-from binnnms.metrics import arand, nmi, quantization_error
+from binnnms.labeling import epsilon_bits, label_bits
+from binnnms.median import majority_bits
+from binnnms.metrics import arand, nmi
 from conftest import uci_path
 from oracles import (
     arand_ref,
@@ -38,14 +38,14 @@ def report(criterion: str, ok: bool = True):
 # --- property suites (no external data) -------------------------------------
 
 def test_c1_median_optimality():
-    """1. median_center beats every candidate in {0,1}^d on 500 datasets."""
+    """1. majority_bits beats every candidate in {0,1}^d on 500 datasets."""
     rng = np.random.default_rng(1)
     for _ in range(500):
         n, d = int(rng.integers(1, 13)), int(rng.integers(1, 11))
         rows = rng.integers(0, 2, size=(n, d))
         weights = rng.uniform(0.1, 5.0, size=n)
-        s = WeightedSample([BinaryVector(r) for r in rows], weights)
-        center_val = inertia(s, median_center(s))
+        center = majority_bits(rows, weights)
+        center_val = weights @ (rows != center).sum(axis=1)
         cands = np.array(list(product((0, 1), repeat=d)), dtype=np.uint8)
         # exhaustive inertia of every candidate, computed independently
         all_vals = weights @ (rows[:, None, :] != cands[None, :, :]).sum(axis=2)
@@ -70,27 +70,27 @@ def test_c2_knn_oracle():
 
 
 def test_c3_bga_step_oracle():
-    """3. median_shift_step equals the sort/take-k1/majority brute force."""
+    """3. One BGA step equals the sort/take-k1/majority brute force."""
     rng = np.random.default_rng(3)
     for _ in range(500):
         n, d = int(rng.integers(1, 40)), int(rng.integers(1, 20))
         rows = rng.integers(0, 2, size=(n, d))
         x = rng.integers(0, 2, size=d)
         k1 = int(rng.integers(1, n + 1))
-        got = median_shift_step(Dataset(rows), BinaryVector(x), k1)
-        assert got == BinaryVector(step_ref(rows.tolist(), x.tolist(), k1))
+        got = ascend_bits(Dataset(rows), x[None], BgaConfig(k1, j_max=1)).endpoints[0]
+        assert got.tolist() == step_ref(rows.tolist(), x.tolist(), k1)
     report("criterion 3: BGA step matches brute-force oracle (500 instances)")
 
 
 def test_c4_labeling_oracle():
-    """4. label_clusters partition equals union-find connected components."""
+    """4. label_bits partition equals union-find connected components."""
     rng = np.random.default_rng(4)
     for trial in range(120):
         m = int(rng.integers(1, 301)) if trial % 4 == 0 else int(rng.integers(1, 60))
         d = int(rng.integers(2, 16))
         rows = rng.integers(0, 2, size=(m, d)).tolist()
         eps = float(rng.uniform(0, d + 1))
-        lab = label_clusters([BinaryVector(r) for r in rows], eps)
+        lab = label_bits(np.array(rows), eps)
         assert partition_of_labels(list(lab.labels)) == partition_ref(rows, eps)
     report("criterion 4: labeling equals union-find components (random eps)")
 
@@ -165,11 +165,10 @@ def _require(*filenames):
 def _binnnms_scores(data, k1, k2, j_max=50, endpoints_cache={}):
     key = (id(data), k1, j_max)
     if key not in endpoints_cache:
-        trajs = ascend_all(data, data.points(), BgaConfig(k1, j_max))
-        endpoints_cache[key] = [t.endpoint for t in trajs]
+        ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
+        endpoints_cache[key] = ascent.endpoints
     endpoints = endpoints_cache[key]
-    eps = compute_epsilon(endpoints, k2)
-    lab = label_clusters(endpoints, eps)
+    lab = label_bits(endpoints, epsilon_bits(endpoints, k2))
     return (nmi(data.truth_labels, list(lab.labels)),
             arand(data.truth_labels, list(lab.labels)), lab)
 

@@ -8,65 +8,75 @@ from binnnms.bga import (
     FIXED_POINT,
     MAX_ITERATIONS,
     TERMINATIONS,
-    AscentTrajectory,
     BgaConfig,
-    ascend,
-    ascend_all,
     ascend_bits,
-    median_shift_step,
 )
-from binnnms.binvec import BinaryVector, DimensionMismatch
+from binnnms.binvec import DimensionMismatch
 from binnnms.ingest import Dataset
+from conftest import trajectories
 from oracles import ascend_ref, hamming_ref, step_ref
 
 
+def bits(s):
+    return [int(c) for c in s]
+
+
 def dataset(strings):
-    return Dataset(np.array([[int(c) for c in s] for s in strings]))
+    return Dataset(np.array([bits(s) for s in strings]))
 
 
-def bv(s):
-    return BinaryVector.from_string(s)
+def step(ds, x, k1):
+    """One median-shift step from the 0/1 list x, as a list."""
+    got = ascend_bits(ds, np.array([x]), BgaConfig(k1, j_max=1))
+    return got.endpoints[0].tolist()
+
+
+def ascent(ds, x0, cfg):
+    """(iterates as 0/1 strings, termination) of the ascent from one string."""
+    x0 = np.array([bits(x0)])
+    [(its, term)] = trajectories(ascend_bits(ds, x0, cfg), x0)
+    return ["".join(map(str, x)) for x in its], term
 
 
 class TestMedianShiftStep:
     def test_tie_keeps_current_bit(self):
         # neighbors of 000 at k1=2 are {000, 001}: third component ties
         ds = dataset(["000", "001", "011", "111"])
-        assert median_shift_step(ds, bv("000"), 2) == bv("000")
+        assert step(ds, bits("000"), 2) == bits("000")
 
     def test_full_majority(self):
         ds = dataset(["111", "110", "101", "011"])
-        assert median_shift_step(ds, bv("000"), 4) == bv("111")
+        assert step(ds, bits("000"), 4) == bits("111")
 
     def test_k1_one_is_nearest_point(self):
         ds = dataset(["010", "111"])
-        assert median_shift_step(ds, bv("110"), 1) == bv("010")
+        assert step(ds, bits("110"), 1) == bits("010")
 
     def test_bad_k1(self):
         ds = dataset(["00", "01"])
         with pytest.raises(ValueError):
-            median_shift_step(ds, bv("00"), 3)
+            step(ds, bits("00"), 3)
 
 
 class TestAscend:
     def test_immediate_fixed_point(self):
         ds = dataset(["000", "001", "011", "111"])
-        t = ascend(ds, bv("000"), BgaConfig(k1=2))
-        assert [x.to01() for x in t.iterates] == ["000", "000"]
-        assert t.termination == FIXED_POINT
-        assert t.steps == 1
+        its, term = ascent(ds, "000", BgaConfig(k1=2))
+        assert its == ["000", "000"]
+        assert term == FIXED_POINT
+        assert len(its) == 2  # one step
 
     def test_two_step_convergence(self):
         ds = dataset(["111", "110", "101", "011"])
-        t = ascend(ds, bv("000"), BgaConfig(k1=4))
-        assert [x.to01() for x in t.iterates] == ["000", "111", "111"]
-        assert t.termination == FIXED_POINT
+        its, term = ascent(ds, "000", BgaConfig(k1=4))
+        assert its == ["000", "111", "111"]
+        assert term == FIXED_POINT
 
     def test_jmax_cap(self):
         ds = dataset(["111", "110", "101", "011"])
-        t = ascend(ds, bv("000"), BgaConfig(k1=4, j_max=1))
-        assert t.steps == 1
-        assert t.termination == MAX_ITERATIONS
+        its, term = ascent(ds, "000", BgaConfig(k1=4, j_max=1))
+        assert len(its) == 2  # one step
+        assert term == MAX_ITERATIONS
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -76,30 +86,31 @@ class TestAscend:
 
     def test_fixed_point_stability(self):
         ds = dataset(["0011", "0010", "1100", "1101", "0111"])
-        t = ascend(ds, bv("0000"), BgaConfig(k1=3))
-        if t.termination == FIXED_POINT:
-            again = ascend(ds, t.endpoint, BgaConfig(k1=3))
-            assert again.termination == FIXED_POINT
-            assert again.steps == 1
-            assert again.endpoint == t.endpoint
+        its, term = ascent(ds, "0000", BgaConfig(k1=3))
+        if term == FIXED_POINT:
+            again, again_term = ascent(ds, its[-1], BgaConfig(k1=3))
+            assert again_term == FIXED_POINT
+            assert len(again) == 2  # one step
+            assert again[-1] == its[-1]
 
 
 class TestAscendAll:
     def test_order_and_values(self):
         ds = dataset(["111", "110", "101", "011"])
-        trajs = ascend_all(ds, [bv("000"), bv("111")], BgaConfig(k1=4))
-        assert [t.endpoint.to01() for t in trajs] == ["111", "111"]
+        got = ascend_bits(ds, np.array([bits("000"), bits("111")]), BgaConfig(k1=4))
+        assert got.endpoints.tolist() == [bits("111"), bits("111")]
 
     def test_empty_candidates(self):
         ds = dataset(["01"])
-        assert ascend_all(ds, [], BgaConfig(k1=1)) == []
+        x0 = np.zeros((0, 2), dtype=np.uint8)
+        assert trajectories(ascend_bits(ds, x0, BgaConfig(k1=1)), x0) == []
 
     def test_identical_points_all_fixed(self):
         ds = dataset(["0101"] * 5)
-        trajs = ascend_all(ds, ds.points(), BgaConfig(k1=3))
-        for t in trajs:
-            assert t.termination == FIXED_POINT
-            assert [x.to01() for x in t.iterates] == ["0101", "0101"]
+        got = ascend_bits(ds, ds.bits, BgaConfig(k1=3))
+        for its, term in trajectories(got, ds.bits):
+            assert term == FIXED_POINT
+            assert its == [bits("0101"), bits("0101")]
 
 instances = st.integers(2, 12).flatmap(
     lambda d: st.tuples(
@@ -115,8 +126,7 @@ class TestProperties:
         rows, x = inst
         k1 = data.draw(st.integers(1, len(rows)))
         ds = Dataset(np.array(rows))
-        got = median_shift_step(ds, BinaryVector(x), k1)
-        assert got == BinaryVector(step_ref(rows, x, k1))
+        assert step(ds, x, k1) == step_ref(rows, x, k1)
 
     @given(instances, st.data())
     @settings(max_examples=60)
@@ -124,15 +134,17 @@ class TestProperties:
         rows, x = inst
         k1 = data.draw(st.integers(1, len(rows)))
         ds = Dataset(np.array(rows))
-        t = ascend(ds, BinaryVector(x), BgaConfig(k1=k1, j_max=20))
+        x0 = np.array([x])
+        [(its, term)] = trajectories(
+            ascend_bits(ds, x0, BgaConfig(k1=k1, j_max=20)), x0)
         # every consecutive pair obeys the recurrence, iterates stay binary
-        for a, b in zip(t.iterates, t.iterates[1:]):
-            assert b == median_shift_step(ds, a, k1)
-            assert set(np.unique(b.bits)) <= {0, 1}
-        if t.termination == FIXED_POINT:
-            assert t.iterates[-1] == t.iterates[-2]
-        if t.termination == CYCLE:
-            assert t.iterates[-1] == t.iterates[-3]
+        for a, b in zip(its, its[1:]):
+            assert b == step(ds, a, k1)
+            assert set(b) <= {0, 1}
+        if term == FIXED_POINT:
+            assert its[-1] == its[-2]
+        if term == CYCLE:
+            assert its[-1] == its[-3]
 
     @given(instances, st.data())
     @settings(max_examples=100)
@@ -142,14 +154,16 @@ class TestProperties:
         # point or at j_max
         rows, x = inst
         k1 = data.draw(st.integers(1, len(rows)))
-        t = ascend(Dataset(np.array(rows)), BinaryVector(x), BgaConfig(k1=k1))
+        x0 = np.array([x])
+        [(its, term)] = trajectories(
+            ascend_bits(Dataset(np.array(rows)), x0, BgaConfig(k1=k1)), x0)
 
         def f(v):
-            return sum(sorted(hamming_ref(r, v.bits.tolist()) for r in rows)[:k1])
+            return sum(sorted(hamming_ref(r, v) for r in rows)[:k1])
 
-        for a, b in zip(t.iterates, t.iterates[1:]):
+        for a, b in zip(its, its[1:]):
             assert a == b or f(b) < f(a)
-        assert t.termination != CYCLE
+        assert term != CYCLE
 
 
 # Tie-heavy ascent inputs: few bits, rows drawn from a small pool so rows
@@ -176,13 +190,9 @@ class TestBatchedEngine:
                                    else st.sampled_from(rows),
                                    min_size=1, max_size=12), label="cands")
         ds = Dataset(np.array(rows))
-        x0s = [BinaryVector(c) for c in cands]
-        trajs = ascend_all(ds, x0s, BgaConfig(k1=k1, j_max=j_max))
-        for x0, c, t in zip(x0s, cands, trajs):
-            its, term = ascend_ref(rows, c, k1, j_max)
-            assert [x.bits.tolist() for x in t.iterates] == its
-            assert t.termination == term
-            assert t.iterates[0] is x0
+        x0 = np.array(cands)
+        got = trajectories(ascend_bits(ds, x0, BgaConfig(k1=k1, j_max=j_max)), x0)
+        assert got == [ascend_ref(rows, c, k1, j_max) for c in cands]
 
     @given(ascent_instances, st.data())
     @settings(max_examples=200, deadline=None)
@@ -194,22 +204,17 @@ class TestBatchedEngine:
         cands = data.draw(st.lists(st.sampled_from(rows + extra), min_size=1,
                                    max_size=12), label="cands")
         ds = Dataset(np.array(rows))
-        ascent = ascend_bits(ds, np.array(cands), cfg)
-        trajs = ascend_all(ds, [BinaryVector(c) for c in cands], cfg)
-        its = [[c] for c in cands]
+        got = ascend_bits(ds, np.array(cands), cfg)
         prev = np.arange(len(cands))
-        for ids, bits in ascent.rounds:
+        for ids, round_bits in got.rounds:
             # each round's candidates are a subset of the previous round's
             assert np.isin(ids, prev).all() and (np.diff(ids) > 0).all()
-            assert bits.shape == (len(ids), ds.d)
-            for c, row in zip(ids.tolist(), bits.tolist()):
-                its[c].append(row)
+            assert round_bits.shape == (len(ids), ds.d)
             prev = ids
-        for c, t in enumerate(trajs):
-            assert its[c] == [x.bits.tolist() for x in t.iterates]
-            assert TERMINATIONS[ascent.ends[c]] == t.termination
-            assert ascent.endpoints[c].tolist() == t.endpoint.bits.tolist()
-            assert (its[c], t.termination) == ascend_ref(rows, cands[c], k1, cfg.j_max)
+        for c, (its, term) in enumerate(trajectories(got, np.array(cands))):
+            assert TERMINATIONS[got.ends[c]] == term
+            assert got.endpoints[c].tolist() == its[-1]
+            assert (its, term) == ascend_ref(rows, cands[c], k1, cfg.j_max)
 
     def test_bit_matrix_checks(self):
         ds = dataset(["010", "111"])
@@ -224,9 +229,9 @@ class TestBatchedEngine:
         # the real step never cycles (see test_objective_strictly_decreases),
         # so a bit-flipping step stands in to exercise the 2-cycle stop
         monkeypatch.setattr(bga, "_vote", lambda data, x, k1: 1 - x)
-        t = ascend(dataset(["00", "11"]), bv("01"), BgaConfig(k1=1))
-        assert [x.to01() for x in t.iterates] == ["01", "10", "01"]
-        assert t.termination == CYCLE
+        its, term = ascent(dataset(["00", "11"]), "01", BgaConfig(k1=1))
+        assert its == ["01", "10", "01"]
+        assert term == CYCLE
 
     @pytest.mark.parametrize("k1", [255, 256])
     def test_matches_reference_at_count_type_limits(self, k1):
@@ -240,13 +245,10 @@ class TestBatchedEngine:
         cands = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [1] * 6, [0, 1, 1, 1, 1, 1],
                  *rng.integers(0, 2, size=(4, 6)).tolist()]
         cfg = BgaConfig(k1=k1, j_max=4)
-        trajs = ascend_all(Dataset(np.array(rows)),
-                           [BinaryVector(c) for c in cands], cfg)
-        for c, t in zip(cands, trajs):
-            its, term = ascend_ref(rows, c, k1, cfg.j_max)
-            assert [x.bits.tolist() for x in t.iterates] == its
-            assert t.termination == term
-        assert trajs[0].endpoint.to01() == ("000001" if k1 == 256 else "000000")
+        got = ascend_bits(Dataset(np.array(rows)), np.array(cands), cfg)
+        for c, traj in zip(cands, trajectories(got, np.array(cands))):
+            assert traj == ascend_ref(rows, c, k1, cfg.j_max)
+        assert got.endpoints[0].tolist() == bits("000001" if k1 == 256 else "000000")
 
     def test_matches_reference_across_blocks(self):
         # 3000 rows repeating 300 distinct 12-bit vectors tie at the k1
@@ -257,9 +259,6 @@ class TestBatchedEngine:
         rows = pool[rng.integers(0, 300, size=3000)].tolist()
         ds = Dataset(np.array(rows))
         cands = rows[::100] + rng.integers(0, 2, size=(5, 12)).tolist()
-        trajs = ascend_all(ds, [BinaryVector(c) for c in cands],
-                           BgaConfig(k1=40, j_max=4))
-        for c, t in zip(cands, trajs):
-            its, term = ascend_ref(rows, c, 40, 4)
-            assert [x.bits.tolist() for x in t.iterates] == its
-            assert t.termination == term
+        got = ascend_bits(ds, np.array(cands), BgaConfig(k1=40, j_max=4))
+        for c, traj in zip(cands, trajectories(got, np.array(cands))):
+            assert traj == ascend_ref(rows, c, 40, 4)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_all, ascend_bits
+from binnnms.bga import BgaConfig, ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.cli import (
     EXIT_DATA,
@@ -17,7 +17,8 @@ from binnnms.cli import (
     main,
 )
 from binnnms.ingest import Dataset
-from binnnms.median import WeightedSample, median_center
+from conftest import trajectories
+from oracles import majority_ref
 
 
 @pytest.fixture
@@ -184,22 +185,22 @@ class TestTrajectoryErrors:
         bits = centres[truth] ^ (rng.random((90, 16)) < 0.3)
         data = Dataset(bits, truth_labels=[f"c{t}" for t in truth])
         cfg = BgaConfig(k1=7, j_max=6)
-        got = _trajectory_errors(data, ascend_bits(data, data.bits, cfg).rounds)
+        ascent = ascend_bits(data, data.bits, cfg)
+        got = _trajectory_errors(data, ascent.rounds)
 
-        trajs = ascend_all(data, data.points(), cfg)
-        assert len({t.steps for t in trajs}) > 1
+        iterates = [its for its, _ in trajectories(ascent, data.bits)]
+        assert len({len(its) for its in iterates}) > 1
         cidx = np.array([list(dict.fromkeys(data.truth_labels)).index(c)
                          for c in data.truth_labels])
 
         def centres_of(cur):
-            return np.stack([median_center(WeightedSample(
-                [BinaryVector(r) for r in cur[cidx == j]])).bits
-                for j in range(cidx.max() + 1)])
+            return np.array([majority_ref(cur[cidx == j].tolist())
+                             for j in range(cidx.max() + 1)])
 
         target = centres_of(data.bits)
-        assert len(got) == max(len(t.iterates) for t in trajs)
+        assert len(got) == max(len(its) for its in iterates)
         for it, row in enumerate(got):
-            cur = np.stack([t.iterates[min(it, t.steps)].bits for t in trajs])
+            cur = np.array([its[min(it, len(its) - 1)] for its in iterates])
             inter = centres_of(cur)
             assert row == {
                 "iteration": it,

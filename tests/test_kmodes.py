@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_repeated, kmodes_run
-from binnnms.median import WeightedSample, median_center
-from oracles import hamming_ref, kmodes_ref
+from oracles import best_center_ref, hamming_ref, inertia_ref, kmodes_ref, majority_ref
 
 
 def dataset(strings):
@@ -17,19 +15,17 @@ class TestKModesRun:
     def test_k_one_global_median(self):
         # every component ties 2-2 here, so any tie resolution is a global
         # median center; check optimality via inertia rather than exact bits
-        from binnnms.median import inertia
-
         ds = dataset(["000", "001", "110", "111"])
         res = kmodes_run(ds, 1, seed=0)
         assert set(res.labels) == {0}
-        sample = WeightedSample(ds.points())
-        assert inertia(sample, res.prototypes[0]) == \
-            inertia(sample, median_center(sample))
+        rows, ones = ds.bits.tolist(), [1] * ds.n
+        assert inertia_ref(rows, ones, res.prototypes[0].bits.tolist()) == \
+            best_center_ref(rows, ones)[1]
 
     def test_k_one_no_ties(self):
         ds = dataset(["001", "011", "111"])
         res = kmodes_run(ds, 1, seed=0)
-        assert res.prototypes[0] == median_center(WeightedSample(ds.points()))
+        assert res.prototypes[0].bits.tolist() == majority_ref(ds.bits.tolist())
 
     def test_k_equals_n_distinct(self):
         ds = dataset(["000", "011", "101", "110"])
@@ -57,6 +53,16 @@ class TestKModesRun:
                 found = True
         assert found
 
+    def test_max_iter_below_one_rejected(self):
+        # with no iteration there is no assignment to report
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.integers(0, 2, size=(20, 8)))
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError):
+                kmodes_run(ds, 3, seed=0, max_iter=max_iter)
+            with pytest.raises(ValueError):
+                kmodes_repeated(ds, 3, runs=2, max_iter=max_iter)
+
     def test_k_exceeds_distinct_points(self):
         ds = dataset(["01", "01", "10"])
         with pytest.raises(ValueError):
@@ -67,13 +73,12 @@ class TestKModesRun:
         ds = Dataset(rng.integers(0, 2, size=(30, 8)))
         res = kmodes_run(ds, 4, seed=2)
         for j in range(4):
-            members = [ds.point(i) for i in np.flatnonzero(res.labels == j)]
+            members = ds.bits[res.labels == j].tolist()
             if members:
                 # the stored prototype minimizes inertia at least as well as
                 # the unanchored majority (ties were anchored to its own bits)
-                anchored = median_center(WeightedSample(members),
-                                         tie_breaker=res.prototypes[j])
-                assert res.prototypes[j] == anchored
+                proto = res.prototypes[j].bits.tolist()
+                assert proto == majority_ref(members, tie_bits=proto)
 
     def test_total_inertia_consistent(self):
         rng = np.random.default_rng(5)

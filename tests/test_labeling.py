@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binnnms import labeling
-from binnnms.binvec import BinaryVector, DimensionMismatch
-from binnnms.labeling import (
-    ClusterLabeling,
-    compute_epsilon,
-    epsilon_bits,
-    label_bits,
-    label_clusters,
-)
-from binnnms.median import WeightedSample, median_center
+from binnnms.labeling import epsilon_bits, label_bits
 from oracles import epsilon_ref, majority_ref, partition_of_labels, partition_ref
 
 
@@ -19,37 +11,33 @@ def _no_kernel_call(*args):
     raise AssertionError("hamming_blocks was called")
 
 
-def bv(s):
-    return BinaryVector.from_string(s)
-
-
-def bvs(*strings):
-    return [bv(s) for s in strings]
+def bits(*strings):
+    return np.array([[int(c) for c in s] for s in strings], dtype=np.uint8)
 
 
 class TestComputeEpsilon:
     def test_identical_points(self):
-        assert compute_epsilon(bvs("010", "010", "010"), 1) == 0.0
+        assert epsilon_bits(bits("010", "010", "010"), 1) == 0.0
 
     def test_two_points(self):
-        assert compute_epsilon(bvs("011", "000"), 1) == 2.0
+        assert epsilon_bits(bits("011", "000"), 1) == 2.0
 
     def test_three_points(self):
-        assert compute_epsilon(bvs("000", "001", "111"), 1) == pytest.approx(4 / 3)
+        assert epsilon_bits(bits("000", "001", "111"), 1) == pytest.approx(4 / 3)
 
     def test_kth_only_mode(self):
         # pair distances are 1, 3, 2, so the 2-NN distances per point are
         # (1,3), (1,2), (2,3): kth_only averages the 2nd ones, mean_all all six
-        pts = bvs("000", "001", "111")
-        assert compute_epsilon(pts, 2, mode="kth_only") == pytest.approx(8 / 3)
-        assert compute_epsilon(pts, 2, mode="mean_all") == pytest.approx(2.0)
+        pts = bits("000", "001", "111")
+        assert epsilon_bits(pts, 2, mode="kth_only") == pytest.approx(8 / 3)
+        assert epsilon_bits(pts, 2, mode="mean_all") == pytest.approx(2.0)
 
     def test_single_point_is_zero(self):
-        assert compute_epsilon(bvs("0101"), 1) == 0.0
+        assert epsilon_bits(bits("0101"), 1) == 0.0
 
     def test_k2_too_large(self):
         with pytest.raises(ValueError):
-            compute_epsilon(bvs("00", "01"), 2)
+            epsilon_bits(bits("00", "01"), 2)
 
     @given(st.integers(1, 5).flatmap(lambda d: st.lists(
                st.lists(st.integers(0, 1), min_size=d, max_size=d),
@@ -59,7 +47,7 @@ class TestComputeEpsilon:
     def test_matches_per_point_loop(self, rows, mode, data):
         # few bits, so points repeat and distances tie heavily
         k2 = data.draw(st.integers(1, len(rows) - 1))
-        got = compute_epsilon([BinaryVector(r) for r in rows], k2, mode=mode)
+        got = epsilon_bits(np.array(rows), k2, mode=mode)
         assert got == float(np.mean(epsilon_ref(rows, k2, mode)))
 
     @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
@@ -67,44 +55,45 @@ class TestComputeEpsilon:
         # epsilon runs on the distinct rows: 700 points of 10 bits hold 515,
         # so each distance block holds 63 queries
         rows = np.random.default_rng(5).integers(0, 2, size=(700, 10)).tolist()
-        got = compute_epsilon([BinaryVector(r) for r in rows], 7, mode=mode)
+        got = epsilon_bits(np.array(rows), 7, mode=mode)
         assert got == float(np.mean(epsilon_ref(rows, 7, mode)))
 
 
 class TestLabelClusters:
     def test_everything_merges_at_large_epsilon(self):
-        lab = label_clusters(bvs("000", "011", "110"), 3)
+        lab = label_bits(bits("000", "011", "110"), 3)
         assert lab.num_clusters == 1
         assert lab.single_cluster
 
     def test_zero_epsilon_groups_identical(self):
-        lab = label_clusters(bvs("000", "010", "000", "111"), 0)
+        lab = label_bits(bits("000", "010", "000", "111"), 0)
         assert lab.num_clusters == 3
         assert list(lab.labels) == [0, 1, 0, 2]
 
     def test_threshold_components(self):
-        lab = label_clusters(bvs("000", "001", "111"), 1)
+        lab = label_bits(bits("000", "001", "111"), 1)
         assert list(lab.labels) == [0, 0, 1]
 
     def test_transitive_chaining(self):
         # 0000 - 0001 - 0011 - 0111 chain with step 1 merges fully
-        lab = label_clusters(bvs("0000", "0001", "0011", "0111"), 1)
+        lab = label_bits(bits("0000", "0001", "0011", "0111"), 1)
         assert lab.num_clusters == 1
 
     def test_prototypes_are_median_centers(self):
-        pts = bvs("000", "001", "011", "111")
-        lab = label_clusters(pts, 1)
+        pts = bits("000", "001", "011", "111")
+        lab = label_bits(pts, 1)
         for cid in range(lab.num_clusters):
-            members = [pts[i] for i in np.flatnonzero(lab.labels == cid)]
-            assert lab.prototypes[cid] == median_center(WeightedSample(members))
+            members = pts[lab.labels == cid].tolist()
+            assert lab.prototypes[cid].bits.tolist() == majority_ref(members)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            label_clusters([], 1)
+            label_bits(np.zeros((0, 3), dtype=np.uint8), 1)
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            label_clusters(bvs("01", "011"), 1)
+        # rows of different widths form no matrix
+        with pytest.raises(ValueError):
+            label_bits([[0, 1], [0, 1, 1]], 1)
 
 
 point_sets = st.integers(2, 10).flatmap(
@@ -117,7 +106,7 @@ class TestProperties:
     @settings(max_examples=150)
     def test_matches_union_find_oracle(self, rows, data):
         eps = data.draw(st.floats(0, len(rows[0]) + 1))
-        lab = label_clusters([BinaryVector(r) for r in rows], eps)
+        lab = label_bits(np.array(rows), eps)
         assert partition_of_labels(list(lab.labels)) == partition_ref(rows, eps)
 
     @given(point_sets, st.data())
@@ -125,8 +114,8 @@ class TestProperties:
     def test_permutation_equivariance(self, rows, data):
         eps = data.draw(st.floats(0, len(rows[0])))
         perm = data.draw(st.permutations(range(len(rows))))
-        base = label_clusters([BinaryVector(r) for r in rows], eps)
-        permuted = label_clusters([BinaryVector(rows[i]) for i in perm], eps)
+        base = label_bits(np.array(rows), eps)
+        permuted = label_bits(np.array([rows[i] for i in perm]), eps)
         part_base = partition_of_labels(list(base.labels))
         part_perm = partition_of_labels(list(permuted.labels))
         # map permuted indices back to the original positions
@@ -137,15 +126,15 @@ class TestProperties:
     @given(point_sets)
     @settings(max_examples=60)
     def test_monotone_in_epsilon(self, rows):
-        pts = [BinaryVector(r) for r in rows]
-        counts = [label_clusters(pts, eps).num_clusters
+        pts = np.array(rows)
+        counts = [label_bits(pts, eps).num_clusters
                   for eps in range(len(rows[0]) + 2)]
         assert counts == sorted(counts, reverse=True)
 
     @given(point_sets)
     @settings(max_examples=60)
     def test_labels_contiguous_first_appearance(self, rows):
-        lab = label_clusters([BinaryVector(r) for r in rows], 1)
+        lab = label_bits(np.array(rows), 1)
         seen = []
         for x in lab.labels:
             if x not in seen:
@@ -171,7 +160,6 @@ class TestMatrixFunctions:
         k2 = data.draw(st.integers(1, len(rows) - 1))
         want = float(np.mean(epsilon_ref(rows, k2, mode)))
         assert epsilon_bits(np.array(rows), k2, mode) == want
-        assert compute_epsilon([BinaryVector(r) for r in rows], k2, mode) == want
 
     def test_epsilon_across_blocks_with_duplicates(self):
         # 600 rows drawn from 400 distinct 12-bit vectors hold 300 of them,
@@ -194,11 +182,8 @@ class TestMatrixFunctions:
         first_seen = list(dict.fromkeys(lab.labels.tolist()))
         assert first_seen == list(range(lab.num_clusters))
         for cid in range(lab.num_clusters):
-            members = [BinaryVector(rows[i]) for i in np.flatnonzero(lab.labels == cid)]
-            assert lab.prototypes[cid] == median_center(WeightedSample(members))
-        wrapped = label_clusters([BinaryVector(r) for r in rows], eps)
-        assert wrapped.labels.tolist() == lab.labels.tolist()
-        assert wrapped.prototypes == lab.prototypes
+            members = [rows[i] for i in np.flatnonzero(lab.labels == cid)]
+            assert lab.prototypes[cid].bits.tolist() == majority_ref(members)
 
     def test_labeling_matches_reference_across_blocks(self):
         # 256-bit rows: the zero row, 128 unit rows e_i and 128 pendants

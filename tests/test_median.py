@@ -2,56 +2,62 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms.binvec import BinaryVector, DimensionMismatch
-from binnnms.median import (
-    WeightedSample,
-    group_majority_bits,
-    inertia,
-    majority_bits,
-    median_center,
-)
+from binnnms.median import group_majority_bits, majority_bits
 from oracles import best_center_ref, inertia_ref, majority_ref
 
 
-def bv(s):
-    return BinaryVector.from_string(s)
+def bits(*strings):
+    return np.array([[int(c) for c in s] for s in strings], dtype=np.uint8)
 
 
-def sample(strings, weights=None):
-    return WeightedSample([bv(s) for s in strings], weights)
+def center(strings, weights=None, tie=None):
+    """The weighted median center of the rows, as a 0/1 string."""
+    w = np.ones(len(strings)) if weights is None else np.asarray(weights)
+    tie_bits = None if tie is None else bits(tie)[0]
+    return "".join(map(str, majority_bits(bits(*strings), w, tie_bits).tolist()))
 
 
 class TestWeightedSample:
+    """A weighted sample is the (rows, d) matrix `majority_bits` takes with
+    one positive weight per row."""
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            WeightedSample([])
+            majority_bits(np.zeros((0, 3), dtype=np.uint8), np.ones(0))
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            sample(["01", "011"])
+        # rows of different widths form no matrix
+        with pytest.raises(ValueError):
+            majority_bits([[0, 1], [0, 1, 1]], np.ones(2))
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
-            sample(["01", "11"], [1.0, 0.0])
+            majority_bits(bits("01", "11"), [1.0, 0.0])
+        with pytest.raises(ValueError):
+            majority_bits(bits("01", "11"), [1.0, -2.0])
+
+    def test_weight_shape_rejected(self):
+        for weights in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
+            with pytest.raises(ValueError):
+                majority_bits(bits("01", "11"), weights)
 
 
 class TestMedianCenter:
     def test_singleton(self):
-        assert median_center(sample(["1011"])) == bv("1011")
+        assert center(["1011"]) == "1011"
 
     def test_majority(self):
-        assert median_center(sample(["10", "11", "01"])) == bv("11")
+        assert center(["10", "11", "01"]) == "11"
 
     def test_tie_defaults_to_zero(self):
-        assert median_center(sample(["00", "11"])) == bv("00")
+        assert center(["00", "11"]) == "00"
 
     def test_tie_follows_tie_breaker(self):
-        assert median_center(sample(["00", "11"]), tie_breaker=bv("10")) == bv("10")
+        assert center(["00", "11"], tie="10") == "10"
 
     def test_weighted_majority(self):
         # weight 3 on "01" outvotes two copies of "10"
-        s = sample(["01", "10", "10"], [3.0, 1.0, 1.0])
-        assert median_center(s) == bv("01")
+        assert center(["01", "10", "10"], [3.0, 1.0, 1.0]) == "01"
 
 
 class TestMajorityBits:
@@ -118,21 +124,6 @@ class TestMajorityBits:
             assert got[g].tolist() == want
 
 
-class TestInertia:
-    def test_zero_at_own_point(self):
-        assert inertia(sample(["0110"]), bv("0110")) == 0.0
-
-    def test_small_case(self):
-        assert inertia(sample(["10", "11", "01"]), bv("11")) == 2.0
-
-    def test_weighted(self):
-        assert inertia(sample(["0", "1"], [2.0, 1.0]), bv("0")) == 1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            inertia(sample(["01"]), bv("011"))
-
-
 vector_sets = st.integers(1, 6).flatmap(
     lambda d: st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
                        min_size=1, max_size=10))
@@ -145,22 +136,11 @@ class TestProperties:
         weights = data.draw(st.lists(
             st.floats(0.1, 10.0, allow_nan=False), min_size=len(rows),
             max_size=len(rows)))
-        s = WeightedSample([BinaryVector(r) for r in rows], np.array(weights))
-        center = median_center(s)
+        center = majority_bits(np.array(rows), np.array(weights)).tolist()
         _, best_val = best_center_ref(rows, weights)
-        assert inertia(s, center) <= best_val + 1e-9
+        assert inertia_ref(rows, weights, center) <= best_val + 1e-9
 
     @given(vector_sets)
     def test_unit_weight_reduction(self, rows):
-        s = WeightedSample([BinaryVector(r) for r in rows])
-        assert median_center(s) == BinaryVector(majority_ref(rows))
-
-    @given(vector_sets, st.data())
-    def test_inertia_matches_reference(self, rows, data):
-        weights = data.draw(st.lists(
-            st.floats(0.1, 10.0), min_size=len(rows), max_size=len(rows)))
-        x = data.draw(st.lists(st.integers(0, 1), min_size=len(rows[0]),
-                               max_size=len(rows[0])))
-        s = WeightedSample([BinaryVector(r) for r in rows], np.array(weights))
-        assert inertia(s, BinaryVector(x)) == pytest.approx(
-            inertia_ref(rows, weights, x))
+        assert majority_bits(np.array(rows), np.ones(len(rows))).tolist() == \
+            majority_ref(rows)

@@ -6,7 +6,7 @@ from binnnms.binvec import BinaryVector
 from binnnms.ingest import Dataset
 from binnnms.labeling import ClusterLabeling
 from binnnms.metrics import arand, contingency, nmi, quantization_error, scores
-from oracles import all_vectors, arand_ref, hamming_ref, nmi_ref
+from oracles import all_vectors, arand_ref, hamming_ref, majority_ref, nmi_ref
 
 
 class TestContingency:
@@ -160,6 +160,12 @@ class TestQuantizationError:
         with pytest.raises(ValueError):
             quantization_error(ds, _labeling([0, 1], ["00"]))
 
+    def test_negative_label(self):
+        # a label of -1 must not read the last prototype
+        ds = Dataset(np.array([[0, 0], [1, 1]]))
+        with pytest.raises(ValueError):
+            quantization_error(ds, _labeling([0, -1], ["00", "11"]))
+
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 240])
     def test_matches_brute_force_count(self, d):
         # widths on both sides of the 64-bit word boundary, whose pad bits
@@ -183,17 +189,14 @@ class TestQuantizationError:
     @given(st.integers(0, 1000))
     @settings(max_examples=40)
     def test_median_prototypes_are_optimal(self, seed):
-        from binnnms.median import WeightedSample, median_center
-
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 10)), int(rng.integers(1, 6))
         ds = Dataset(rng.integers(0, 2, size=(n, d)))
         labels = rng.integers(0, 2, size=n)
         if len(set(labels)) < 2:
             labels[0] = 1 - labels[0]
-        protos = [median_center(WeightedSample(
-            [ds.point(i) for i in np.flatnonzero(labels == j)]))
-            for j in range(2)]
+        protos = [BinaryVector(majority_ref(ds.bits[labels == j].tolist()))
+                  for j in range(2)]
         best = quantization_error(ds, ClusterLabeling(labels, protos))
         for alt0 in all_vectors(d):
             for alt1 in all_vectors(d):

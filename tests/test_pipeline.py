@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_all
+from binnnms.bga import BgaConfig, ascend_bits
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_run
-from binnnms.labeling import compute_epsilon, label_clusters
+from binnnms.labeling import epsilon_bits, label_bits
 from binnnms.metrics import arand, nmi, quantization_error
 
 
@@ -26,10 +26,9 @@ def make_blobs(num_clusters=5, per_cluster=30, d=40, flips=3, seed=0):
 class TestBinnnmsPipeline:
     def test_recovers_well_separated_clusters(self):
         data, centers = make_blobs()
-        trajs = ascend_all(data, data.points(), BgaConfig(k1=20))
-        endpoints = [t.endpoint for t in trajs]
-        eps = compute_epsilon(endpoints, k2=5)
-        lab = label_clusters(endpoints, eps)
+        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=20)).endpoints
+        eps = epsilon_bits(endpoints, k2=5)
+        lab = label_bits(endpoints, eps)
         assert lab.num_clusters == 5
         assert nmi(data.truth_labels, list(lab.labels)) == pytest.approx(1.0)
         assert arand(data.truth_labels, list(lab.labels)) == pytest.approx(1.0)
@@ -40,9 +39,9 @@ class TestBinnnmsPipeline:
 
     def test_quantization_error_decreases_along_ascent(self):
         data, _ = make_blobs(seed=3)
-        trajs = ascend_all(data, data.points(), BgaConfig(k1=20))
-        eps = compute_epsilon([t.endpoint for t in trajs], k2=5)
-        lab = label_clusters([t.endpoint for t in trajs], eps)
+        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=20)).endpoints
+        eps = epsilon_bits(endpoints, k2=5)
+        lab = label_bits(endpoints, eps)
         final = quantization_error(data, lab)
         # initial error: points against the same prototypes before any ascent
         initial = float(np.mean([
@@ -71,7 +70,6 @@ class TestBinnnmsPipeline:
                 row[rng.choice(d, size=2, replace=False)] ^= 1
                 rows.append(row)
         data = Dataset(np.array(rows))
-        trajs = ascend_all(data, data.points(), BgaConfig(k1=data.n))
-        endpoints = [t.endpoint for t in trajs]
-        lab = label_clusters(endpoints, compute_epsilon(endpoints, 3))
+        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=data.n)).endpoints
+        lab = label_bits(endpoints, epsilon_bits(endpoints, 3))
         assert lab.single_cluster
