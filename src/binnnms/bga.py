@@ -5,6 +5,12 @@ of its k1 nearest dataset points (ties keep the current iterate's bit, which
 makes fixed points stable). `ascend_bits` is the one engine: it steps every
 candidate's ascent together, in rounds, on the shared blocked Hamming top-k,
 and returns the iterates of each round as matrices.
+
+An ascent cannot cycle: each moving step strictly lowers f(x), the sum of the
+Hamming distances from x to its k1 nearest rows. The vote is a Hamming median
+of those rows, strictly nearer to them than x when it moves (a tie keeps x's
+bit), and its own k1 nearest rows are nearer still. So every ascent ends at a
+fixed point or at j_max.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from .ingest import Dataset
 
 FIXED_POINT = "fixed_point"
 MAX_ITERATIONS = "max_iterations"
-CYCLE = "cycle"
-TERMINATIONS = (FIXED_POINT, CYCLE, MAX_ITERATIONS)  # BatchAscent.ends order
+TERMINATIONS = (FIXED_POINT, MAX_ITERATIONS)  # BatchAscent.ends order
 
 DEFAULT_J_MAX = 50
 
@@ -81,9 +86,9 @@ class BatchAscent:
 def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
     """The ascent from every row of the (m, d) 0/1 matrix x0.
 
-    Each ascent iterates the median shift until, checked in this order, a
-    fixed point, a 2-cycle (x_{j+1} == x_{j-1}), or j_max steps. It always
-    takes at least one step; j_max counts total steps including the first.
+    Each ascent iterates the median shift until a fixed point or j_max
+    steps (it cannot cycle; see the module docstring). It always takes at
+    least one step; j_max counts total steps including the first.
     Candidates may coincide with the dataset but need not.
 
     The ascents run together in rounds over one bit matrix of the active
@@ -97,10 +102,9 @@ def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
     _check_k1(data, cfg.k1)
     m = cur.shape[0]
     endpoints = cur.copy()
-    ends = np.full(m, 2)  # indices into TERMINATIONS
+    ends = np.full(m, 1)  # indices into TERMINATIONS
     rounds = []
     active = np.arange(m)
-    prev = cur  # at round 1 the cycle test then equals the fixed-point test
     for _ in range(cfg.j_max):
         if not active.size:
             break
@@ -108,10 +112,7 @@ def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
         nxt = _vote(data, cur[first], cfg.k1)[inverse]
         rounds.append((active, nxt))
         endpoints[active] = nxt
-        fixed = (nxt == cur).all(axis=1)
-        cycle = ~fixed & (nxt == prev).all(axis=1)
-        ends[active[fixed]] = 0
-        ends[active[cycle]] = 1
-        going = ~(fixed | cycle)
-        active, prev, cur = active[going], cur[going], nxt[going]
+        going = (nxt != cur).any(axis=1)
+        ends[active[~going]] = 0
+        active, cur = active[going], nxt[going]
     return BatchAscent(rounds, ends, endpoints)

@@ -104,18 +104,19 @@ def _write_prototypes(path: Path, prototypes) -> None:
 
 # --- binnnms / kmodes pipelines --------------------------------------------
 
-def run_binnnms(data: Dataset, k1: int, k2: int, j_max: int, epsilon_mode: str):
-    """BGA over all points (skipped when k1 == 0), then epsilon labeling.
-    Returns (labeling, epsilon, the BatchAscent or None)."""
+def _endpoints(data: Dataset, k1: int, j_max: int):
+    """(endpoints, the BatchAscent or None): the ascent endpoints of every
+    point, or the points themselves when k1 == 0 (no ascent)."""
     if k1 == 0:
-        ascent = None
-        endpoints = data.bits
-    else:
-        ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
-        endpoints = ascent.endpoints
+        return data.bits, None
+    ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
+    return ascent.endpoints, ascent
+
+
+def _label(endpoints, k2: int, epsilon_mode: str):
+    """(labeling, epsilon) of the endpoints at the k2 epsilon threshold."""
     epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
-    labeling = label_bits(endpoints, epsilon)
-    return labeling, epsilon, ascent
+    return label_bits(endpoints, epsilon), epsilon
 
 
 def _scores(data: Dataset, labels) -> dict:
@@ -133,8 +134,8 @@ def cmd_cluster(args) -> int:
     if args.algo == "binnnms":
         if args.k1 < 1:
             raise ValueError("cluster requires k1 >= 1 (k1=0 exists only in sweep)")
-        labeling, epsilon, _ = run_binnnms(data, args.k1, args.k2, args.jmax,
-                                           args.epsilon_mode)
+        endpoints, _ = _endpoints(data, args.k1, args.jmax)
+        labeling, epsilon = _label(endpoints, args.k2, args.epsilon_mode)
         labels, prototypes = labeling.labels, labeling.prototypes
         metrics = {
             "algo": "binnnms", "k1": args.k1, "k2": args.k2, "jmax": args.jmax,
@@ -213,14 +214,16 @@ def _trajectory_errors(data: Dataset, rounds) -> list[dict]:
 
 
 def _sweep_cell(data: Dataset, endpoints, k1: int, k2: int, epsilon_mode: str) -> dict:
-    epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
-    labeling = label_bits(endpoints, epsilon)
-    row = {"k1": k1, "k2": k2, "epsilon": epsilon,
-           "num_clusters": labeling.num_clusters,
-           "quant_error_final": quantization_error(data, labeling),
-           "status": "ok"}
-    row.update(_scores(data, labeling.labels))
-    return row
+    labeling, epsilon = _label(endpoints, k2, epsilon_mode)
+    return {"k1": k1, "k2": k2, "epsilon": epsilon,
+            "num_clusters": labeling.num_clusters,
+            "quant_error_final": quantization_error(data, labeling),
+            "status": "ok", **_scores(data, labeling.labels)}
+
+
+def _write_csv(path: Path, fields: list[str], rows) -> None:
+    path.write_text(",".join(fields) + "\n" + "".join(
+        ",".join(str(row.get(f, "")) for f in fields) + "\n" for row in rows))
 
 
 def cmd_sweep(args) -> int:
@@ -229,45 +232,28 @@ def cmd_sweep(args) -> int:
     k2_list = _parse_int_list(args.k2)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def run_k1(k1: int):
-        rows = []
+    rows, trajectories = [], {}
+    for k1 in k1_list:
         try:
-            if k1 == 0:
-                endpoints, ascent = data.bits, None
-            else:
-                ascent = ascend_bits(data, data.bits, BgaConfig(k1, args.jmax))
-                endpoints = ascent.endpoints
+            endpoints, ascent = _endpoints(data, k1, args.jmax)
         except Exception as exc:  # record the whole k1 column as failed
-            return [{"k1": k1, "k2": k2, "status": f"error: {exc}"}
-                    for k2 in k2_list], None
+            rows.extend({"k1": k1, "k2": k2, "status": f"error: {exc}"}
+                        for k2 in k2_list)
+            continue
         for k2 in k2_list:
             try:
                 rows.append(_sweep_cell(data, endpoints, k1, k2,
                                         args.epsilon_mode))
             except Exception as exc:
                 rows.append({"k1": k1, "k2": k2, "status": f"error: {exc}"})
-        traj_rows = None
         if ascent is not None and data.truth_labels is not None:
-            traj_rows = _trajectory_errors(data, ascent.rounds)
-        return rows, traj_rows
-
-    results = [run_k1(k1) for k1 in k1_list]
-
-    fields = ["k1", "k2", "epsilon", "num_clusters", "nmi", "arand",
-              "quant_error_final", "status"]
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write(",".join(fields) + "\n")
-        for rows, _ in results:
-            for row in rows:
-                fh.write(",".join(str(row.get(f, "")) for f in fields) + "\n")
-    for k1, (_, traj) in zip(k1_list, results):
-        if traj:
-            with open(out / f"trajectory_k1={k1}.csv", "w") as fh:
-                fh.write("iteration,error_vs_target,error_vs_intermediate\n")
-                for row in traj:
-                    fh.write(f"{row['iteration']},{row['error_vs_target']},"
-                             f"{row['error_vs_intermediate']}\n")
+            trajectories[k1] = _trajectory_errors(data, ascent.rounds)
+    _write_csv(out / "sweep.csv",
+               ["k1", "k2", "epsilon", "num_clusters", "nmi", "arand",
+                "quant_error_final", "status"], rows)
+    for k1, traj in trajectories.items():
+        _write_csv(out / f"trajectory_k1={k1}.csv",
+                   ["iteration", "error_vs_target", "error_vs_intermediate"], traj)
     print(f"sweep: {len(k1_list) * len(k2_list)} cells -> {out / 'sweep.csv'}")
     return EXIT_OK
 

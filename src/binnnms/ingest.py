@@ -33,8 +33,9 @@ class DataFormatError(ValueError):
 class Dataset:
     """Immutable collection of equal-width binary vectors.
 
-    `bits` is an (n, d) 0/1 matrix; `packed` is the uint64 bit-packed view
-    used for fast Hamming work.
+    `bits` is an (n, d) 0/1 matrix; `packed` is its uint64 bit-packed view,
+    used for fast Hamming work. Both are read-only, and `packed` is always
+    packed from `bits`.
     """
 
     bits: np.ndarray
@@ -42,7 +43,7 @@ class Dataset:
     truth_labels: list | None = None
     schema: FeatureSchema | None = None
     missing_cells: int = 0
-    _packed: np.ndarray | None = field(default=None, repr=False, compare=False)
+    packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # bit_matrix may return the caller's own array: freeze a copy
@@ -51,6 +52,8 @@ class Dataset:
             raise ValueError("bits must be a nonempty (n, d) matrix")
         arr.flags.writeable = False
         self.bits = arr
+        self.packed = pack_bits(arr)
+        self.packed.flags.writeable = False
         if self.truth_labels is not None:
             self.truth_labels = list(self.truth_labels)
             if len(self.truth_labels) != arr.shape[0]:
@@ -63,12 +66,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.bits.shape[1]
-
-    @property
-    def packed(self) -> np.ndarray:
-        if self._packed is None:
-            self._packed = pack_bits(self.bits)
-        return self._packed
 
     def points(self) -> list[BinaryVector]:
         return [BinaryVector(row) for row in self.bits]

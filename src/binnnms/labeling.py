@@ -41,10 +41,14 @@ class ClusterLabeling:
 
 
 def _distinct(bits: np.ndarray):
-    """(packed distinct rows, inverse, counts) of a bit matrix; the packed
-    matrix is `distinct[inverse]`."""
+    """(packed distinct rows, inverse, counts) of a bit matrix, the distinct
+    rows in order of first appearance; the packed matrix is
+    `distinct[inverse]`."""
     first, inverse, counts = unique_rows(bits)
-    return pack_bits(bits[first]), inverse, counts
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pack_bits(bits[first[order]]), rank[inverse], counts[order]
 
 
 def epsilon_bits(bits, k2: int, mode="mean_all") -> float:
@@ -86,8 +90,9 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
     """Connected components of the epsilon-threshold Hamming graph over the
     rows of an (m, d) 0/1 matrix.
 
-    Labels are assigned in order of first appearance; each prototype is the
-    majority vote of its cluster's rows, a tie giving 0.
+    Labels are assigned in order of first appearance: the distinct rows come
+    in that order, and the components are numbered as they are seeded. Each
+    prototype is the majority vote of its cluster's rows, a tie giving 0.
     """
     bits = bit_matrix(bits)
     if not bits.shape[0]:
@@ -99,12 +104,7 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
         comp, ncomp = np.arange(u), u
     else:
         comp, ncomp = _components(upacked, epsilon)
-
-    # renumber components by first appearance over the original ordering
-    _, first = np.unique(comp[inverse], return_index=True)
-    rank = np.empty(ncomp, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(ncomp)
-    labels = rank[comp][inverse]
+    labels = comp[inverse]
     protos = group_majority_bits(bits, labels, ncomp)
     return ClusterLabeling(labels, [BinaryVector(row) for row in protos])
 

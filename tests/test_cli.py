@@ -175,6 +175,34 @@ class TestSweep:
         assert any("error" in l for l in lines[1:])
         assert any(l.split(",")[-1] == "ok" for l in lines[1:])
 
+    def test_artifact_bytes(self, tmp_path):
+        # k1 = 99 > n fails its whole column, k2 = 9 > m - 1 fails single cells
+        data = tmp_path / "small.csv"
+        data.write_text("0,0,0,0,0,1,a\n0,0,0,1,0,0,a\n0,1,0,0,0,0,a\n"
+                        "0,0,0,0,0,0,a\n1,1,1,1,1,0,b\n1,1,0,1,1,1,b\n"
+                        "1,1,1,1,1,1,b\n0,1,1,1,1,1,b\n")
+        out = tmp_path / "s"
+        rc = main(["sweep", "--data", str(data), "--label-column", "-1",
+                   "--k1", "0,1,99", "--k2", "1,2,9", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        k2_error = ",,,,,,error: k2 must be at most m-1 = 7, got 9\n"
+        k1_error = ",,,,,,error: k1 must be in [1, 8], got 99\n"
+        assert (out / "sweep.csv").read_text() == (
+            "k1,k2,epsilon,num_clusters,nmi,arand,quant_error_final,status\n"
+            "0,1,1.0,2,1.0,1.0,0.75,ok\n"
+            "0,2,1.375,2,1.0,1.0,0.75,ok\n"
+            "0,9" + k2_error +
+            "1,1,1.0,2,1.0,1.0,0.75,ok\n"
+            "1,2,1.375,2,1.0,1.0,0.75,ok\n"
+            "1,9" + k2_error +
+            "99,1" + k1_error + "99,2" + k1_error + "99,9" + k1_error)
+        assert (out / "trajectory_k1=1.csv").read_text() == (
+            "iteration,error_vs_target,error_vs_intermediate\n"
+            "0,0.75,0.75\n"
+            "1,0.75,0.75\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sweep.csv", "trajectory_k1=1.csv"]
+
 
 class TestTrajectoryErrors:
     def test_matches_rebuild_from_trajectories(self):

@@ -1,13 +1,9 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binnnms import ingest
-from binnnms.binvec import Feature, FeatureSchema
+from binnnms.binvec import Feature, FeatureSchema, pack_bits
 from binnnms.ingest import (
     DataFormatError,
     Dataset,
@@ -24,6 +20,7 @@ from binnnms.ingest import (
     write_binary_csv,
     zoo_schema,
 )
+from conftest import perfbench_workloads
 from oracles import binary_csv_ref
 
 
@@ -44,6 +41,19 @@ class TestDataset:
         ds = Dataset(np.array([[0, 1]]))
         with pytest.raises(ValueError):
             ds.bits[0, 0] = 1
+
+    def test_packed_immutable(self):
+        ds = Dataset(np.array([[0, 1]]))
+        with pytest.raises(ValueError):
+            ds.packed[0, 0] = 0
+
+    def test_packed_words_always_packed_from_bits(self):
+        # words that disagree with the bits sent every k1 = 1 ascent to 0000
+        bits = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]])
+        with pytest.raises(TypeError):
+            Dataset(bits, _packed=np.zeros((3, 1), np.uint64))
+        ds = Dataset(bits)
+        assert (ds.packed == pack_bits(bits)).all()
 
 
 class TestBinaryCsv:
@@ -126,19 +136,6 @@ class TestBinaryCsv:
         again = load_binary_csv(out, label_column=-1)
         assert np.array_equal(ds.bits, again.bits)
         assert ds.truth_labels == again.truth_labels
-
-
-def _workloads():
-    """The benchmark's data writer, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look themselves up there
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 @st.composite
@@ -232,7 +229,7 @@ class TestPlainReader:
             assert got.name == name
 
     def test_benchmark_csv_is_plain(self, tmp_path):
-        workloads = _workloads()
+        workloads = perfbench_workloads()
         f = tmp_path / "planted.csv"
         workloads.write_planted_csv(f, workloads.Shape("t", 40, 64, 3, 0.2), 0)
         plain = ingest._plain_bits(f.read_bytes(), None, -1)
