@@ -7,6 +7,7 @@ stay byte-identical for a given config and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -93,11 +94,11 @@ def _write_labels(path: Path, labels: np.ndarray) -> None:
         f"{i},{lab}\n" for i, lab in enumerate(labels.tolist())))
 
 
-def _write_prototypes(path: Path, prototypes) -> None:
-    """One line per prototype: its bits as digits separated by spaces."""
-    bits = np.stack([p.bits for p in prototypes])
-    text = np.full((bits.shape[0], 2 * bits.shape[1]), ord(" "), dtype=np.uint8)
-    text[:, 0::2] = bits + ord("0")
+def _write_prototypes(path: Path, prototypes: np.ndarray) -> None:
+    """One line per prototype row: its bits as digits separated by spaces."""
+    k, d = prototypes.shape
+    text = np.full((k, 2 * d), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = prototypes + ord("0")
     text[:, -1] = ord("\n")
     path.write_bytes(text.tobytes())
 
@@ -142,7 +143,7 @@ def cmd_cluster(args) -> int:
             "epsilon": epsilon, "epsilon_mode": args.epsilon_mode,
             "num_clusters": labeling.num_clusters,
             "single_cluster": labeling.single_cluster,
-            "quantization_error": quantization_error(data, labeling),
+            "quantization_error": quantization_error(data, labels, prototypes),
         }
         metrics.update(_scores(data, labels))
     else:
@@ -151,7 +152,8 @@ def cmd_cluster(args) -> int:
         for r in results:
             entry = {"seed": r.seed, "total_inertia": r.total_inertia,
                      "iterations": r.iterations,
-                     "quantization_error": quantization_error(data, r)}
+                     "quantization_error": quantization_error(data, r.labels,
+                                                             r.prototypes)}
             entry.update(_scores(data, r.labels))
             per_run.append(entry)
         best, best_entry = min(
@@ -217,13 +219,17 @@ def _sweep_cell(data: Dataset, endpoints, k1: int, k2: int, epsilon_mode: str) -
     labeling, epsilon = _label(endpoints, k2, epsilon_mode)
     return {"k1": k1, "k2": k2, "epsilon": epsilon,
             "num_clusters": labeling.num_clusters,
-            "quant_error_final": quantization_error(data, labeling),
+            "quant_error_final": quantization_error(data, labeling.labels,
+                                                  labeling.prototypes),
             "status": "ok", **_scores(data, labeling.labels)}
 
 
 def _write_csv(path: Path, fields: list[str], rows) -> None:
-    path.write_text(",".join(fields) + "\n" + "".join(
-        ",".join(str(row.get(f, "")) for f in fields) + "\n" for row in rows))
+    with path.open("w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fields)
+        # str first: csv would write None as an empty field, not as `None`
+        writer.writerows([str(row.get(f, "")) for f in fields] for row in rows)
 
 
 def cmd_sweep(args) -> int:

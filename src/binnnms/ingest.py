@@ -29,13 +29,13 @@ class DataFormatError(ValueError):
     """Raised for malformed input files; message carries row/column position."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Immutable collection of equal-width binary vectors.
 
     `bits` is an (n, d) 0/1 matrix; `packed` is its uint64 bit-packed view,
     used for fast Hamming work. Both are read-only, and `packed` is always
-    packed from `bits`.
+    packed from `bits`. Datasets compare (and hash) by identity.
     """
 
     bits: np.ndarray
@@ -43,7 +43,7 @@ class Dataset:
     truth_labels: list | None = None
     schema: FeatureSchema | None = None
     missing_cells: int = 0
-    packed: np.ndarray = field(init=False, repr=False, compare=False)
+    packed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # bit_matrix may return the caller's own array: freeze a copy

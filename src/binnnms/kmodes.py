@@ -6,15 +6,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import BinaryVector, _key_dtype, hamming_blocks, pack_bits, unique_rows
+from .binvec import _key_dtype, hamming_blocks, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
 
 @dataclass
 class KModesResult:
+    """One run; row j of the read-only (k, d) uint8 `prototypes` is cluster j's."""
+
     labels: np.ndarray
-    prototypes: list[BinaryVector]
+    prototypes: np.ndarray
     total_inertia: float
     iterations: int
     seed: int
@@ -79,10 +81,9 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     else:  # stopped at max_iter: dist predates the last prototype update
         dist = _distance_matrix(data, proto)
         total = float(dist[labels, np.arange(data.n)].sum())
-    return KModesResult(labels=labels,
-                        prototypes=[BinaryVector(row) for row in proto],
-                        total_inertia=total, iterations=iterations, seed=seed,
-                        inertia_history=history)
+    proto.flags.writeable = False
+    return KModesResult(labels=labels, prototypes=proto, total_inertia=total,
+                        iterations=iterations, seed=seed, inertia_history=history)
 
 
 def kmodes_repeated(data: Dataset, k: int, runs: int, base_seed: int = 0,

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binvec import (
-    BinaryVector,
-    bit_matrix,
-    hamming_blocks,
-    hamming_topk,
-    pack_bits,
-    unique_rows,
-)
+from .binvec import bit_matrix, hamming_blocks, hamming_topk, pack_bits, unique_rows
 from .median import group_majority_bits
 
 EPSILON_MODES = ("mean_all", "kth_only")
@@ -26,10 +19,11 @@ EPSILON_MODES = ("mean_all", "kth_only")
 
 @dataclass
 class ClusterLabeling:
-    """Cluster ids per input point plus per-cluster median-center prototypes."""
+    """Cluster ids per input point plus the median-center prototypes, a
+    read-only (k, d) uint8 matrix whose row j is cluster j's prototype."""
 
     labels: np.ndarray
-    prototypes: list[BinaryVector]
+    prototypes: np.ndarray
 
     @property
     def num_clusters(self) -> int:
@@ -106,7 +100,8 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
         comp, ncomp = _components(upacked, epsilon)
     labels = comp[inverse]
     protos = group_majority_bits(bits, labels, ncomp)
-    return ClusterLabeling(labels, [BinaryVector(row) for row in protos])
+    protos.flags.writeable = False
+    return ClusterLabeling(labels, protos)
 
 
 def _components(upacked: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:

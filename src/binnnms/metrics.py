@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binvec import DimensionMismatch, pack_bits
+from .binvec import DimensionMismatch, bit_matrix, pack_bits
 from .ingest import Dataset
 
 NMI_NORMALIZATIONS = ("geometric", "arithmetic", "max")
@@ -106,24 +106,20 @@ def _arand(ct: Contingency) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def quantization_error(data: Dataset, result) -> float:
-    """Mean Hamming distance from each point to its cluster's prototype.
-
-    `result` is anything with `labels` and `prototypes` (a ClusterLabeling
-    or a KModesResult).
-    """
-    labels = np.asarray(result.labels)
-    protos = result.prototypes
+def quantization_error(data: Dataset, labels, prototypes) -> float:
+    """Mean Hamming distance from each point to its cluster's prototype:
+    point i's is row `labels[i]` of the (k, d) 0/1 matrix `prototypes`."""
+    labels = np.asarray(labels)
+    protos = bit_matrix(prototypes)
     if labels.shape[0] != data.n:
         raise ValueError("one label per data point required")
     if labels.min() < 0:
         raise ValueError(f"negative cluster label {int(labels.min())}")
     if labels.max() >= len(protos):
         raise ValueError(f"missing prototype for cluster {int(labels.max())}")
-    proto_bits = np.stack([p.bits for p in protos])
-    if proto_bits.shape[1] != data.d:
+    if protos.shape[1] != data.d:
         raise DimensionMismatch(
-            f"prototype dim {proto_bits.shape[1]} != dataset dim {data.d}")
+            f"prototype dim {protos.shape[1]} != dataset dim {data.d}")
     # pad bits are zero in both packings, so the word popcounts are exact
-    mism = np.bitwise_count(data.packed ^ pack_bits(proto_bits)[labels])
+    mism = np.bitwise_count(data.packed ^ pack_bits(protos)[labels])
     return int(mism.sum(dtype=np.int64)) / data.n

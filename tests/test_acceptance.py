@@ -2,7 +2,8 @@
 
 Criteria 1-7 are self-contained property suites. Criteria 8-12 need the UCI
 datasets under data/raw/ (scripts/fetch_datasets.py); they skip with an
-explicit message when the files are absent.
+explicit message when the files are absent. Criterion 11 also runs offline,
+on the car bits rebuilt from the schema.
 """
 
 from itertools import product
@@ -12,7 +13,7 @@ import pytest
 
 from binnnms.bga import BgaConfig, ascend_bits
 from binnnms.binvec import BinaryVector
-from binnnms.ingest import Dataset, load_uci
+from binnnms.ingest import CAR_VOCABS, Dataset, car_schema, encode_rows, load_uci
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
 from binnnms.kmodes import kmodes_repeated, kmodes_run
 from binnnms.knn import knn_query
@@ -162,13 +163,19 @@ def _require(*filenames):
                     "(run scripts/fetch_datasets.py)")
 
 
-def _binnnms_scores(data, k1, k2, j_max=50, endpoints_cache={}):
-    key = (id(data), k1, j_max)
+def _binnnms_labeling(data, k1, k2, j_max=50, endpoints_cache={}):
+    # keyed by the dataset itself (datasets hash by identity): the cache
+    # keeps it alive, so a later dataset cannot take its id
+    key = (data, k1, j_max)
     if key not in endpoints_cache:
         ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
         endpoints_cache[key] = ascent.endpoints
     endpoints = endpoints_cache[key]
-    lab = label_bits(endpoints, epsilon_bits(endpoints, k2))
+    return label_bits(endpoints, epsilon_bits(endpoints, k2))
+
+
+def _binnnms_scores(data, k1, k2, j_max=50):
+    lab = _binnnms_labeling(data, k1, k2, j_max)
     return (nmi(data.truth_labels, list(lab.labels)),
             arand(data.truth_labels, list(lab.labels)), lab)
 
@@ -222,6 +229,26 @@ def test_c11_car_single_cluster():
         collapsed.append(lab.single_cluster)
     assert any(collapsed)
     report(f"criterion 11: car single-cluster flags {collapsed} for k1 in (10,20,40,80)")
+
+
+def test_c11_car_single_cluster_offline():
+    """11, offline. Car Evaluation holds every combination of its six
+    attributes exactly once, so its 1728 rows are rebuilt from the schema
+    vocabularies, with no download; only the class labels need the file.
+    The rows come in product order, which cannot be checked against the file
+    here; reversing them gave the same cluster counts. At k1 = 10, 20 and 80
+    no row moves, and epsilon = 2 (one attribute apart) connects the grid."""
+    rows = [list(row) for row in product(*CAR_VOCABS.values())]
+    bits, _ = encode_rows(rows, car_schema())
+    data = Dataset(bits, name="car")
+    collapsed = []
+    for k1 in (10, 20, 40, 80):
+        lab = _binnnms_labeling(data, k1, 5)
+        collapsed.append(lab.single_cluster)
+    assert any(collapsed)
+    assert collapsed == [True, True, False, True]
+    report(f"criterion 11 (offline): car single-cluster flags {collapsed} "
+           "for k1 in (10,20,40,80)")
 
 
 def test_c12_zoo_error_trajectories():

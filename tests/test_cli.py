@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -118,6 +120,25 @@ class TestCluster:
         assert outs[0] == outs[1]
 
 
+def test_binary_input_builds_no_binary_vector(two_blobs, tmp_path, monkeypatch):
+    # prototypes stay bit matrices from the vote to the written artifacts
+    def refuse(*args):
+        raise AssertionError("a BinaryVector was built")
+
+    monkeypatch.setattr(BinaryVector, "__init__", refuse)
+    data = ["--data", str(two_blobs), "--label-column", "-1"]
+    runs = {"binnnms": ["cluster", *data, "--k1", "6", "--k2", "2"],
+            "kmodes": ["cluster", *data, "--algo", "kmodes", "--k", "2",
+                       "--runs", "3"],
+            "sweep": ["sweep", *data, "--k1", "0,6", "--k2", "2,3"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_OK, name
+        written = {"sweep": ["sweep.csv", "trajectory_k1=6.csv"]}.get(
+            name, ["labels.csv", "metrics.json", "prototypes.txt"])
+        assert sorted(p.name for p in out.iterdir()) == written
+
+
 class TestSweep:
     def test_grid_and_consistency(self, two_blobs, tmp_path):
         sweep_out = tmp_path / "sweep"
@@ -185,9 +206,10 @@ class TestSweep:
         rc = main(["sweep", "--data", str(data), "--label-column", "-1",
                    "--k1", "0,1,99", "--k2", "1,2,9", "--out-dir", str(out)])
         assert rc == EXIT_OK
-        k2_error = ",,,,,,error: k2 must be at most m-1 = 7, got 9\n"
-        k1_error = ",,,,,,error: k1 must be in [1, 8], got 99\n"
-        assert (out / "sweep.csv").read_text() == (
+        k2_error = ',,,,,,"error: k2 must be at most m-1 = 7, got 9"\n'
+        k1_error = ',,,,,,"error: k1 must be in [1, 8], got 99"\n'
+        text = (out / "sweep.csv").read_text()
+        assert text == (
             "k1,k2,epsilon,num_clusters,nmi,arand,quant_error_final,status\n"
             "0,1,1.0,2,1.0,1.0,0.75,ok\n"
             "0,2,1.375,2,1.0,1.0,0.75,ok\n"
@@ -196,6 +218,8 @@ class TestSweep:
             "1,2,1.375,2,1.0,1.0,0.75,ok\n"
             "1,9" + k2_error +
             "99,1" + k1_error + "99,2" + k1_error + "99,9" + k1_error)
+        # a status holding a comma is quoted, so every row has 8 fields
+        assert {len(row) for row in csv.reader(io.StringIO(text))} == {8}
         assert (out / "trajectory_k1=1.csv").read_text() == (
             "iteration,error_vs_target,error_vs_intermediate\n"
             "0,0.75,0.75\n"
@@ -283,9 +307,9 @@ class TestWriters:
     @pytest.mark.parametrize("k, d", [(1, 1), (3, 7), (10, 240)])
     def test_prototypes_match_per_bit_formatter(self, tmp_path, k, d):
         rng = np.random.default_rng(k * d)
-        protos = [BinaryVector(r) for r in rng.integers(0, 2, size=(k, d))]
+        protos = rng.integers(0, 2, size=(k, d)).astype(np.uint8)
         _write_prototypes(tmp_path / "p.txt", protos)
-        want = "".join(" ".join(str(b) for b in p.bits) + "\n" for p in protos)
+        want = "".join(" ".join(str(b) for b in p) + "\n" for p in protos.tolist())
         assert (tmp_path / "p.txt").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("n", [1, 1000])

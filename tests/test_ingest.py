@@ -55,6 +55,13 @@ class TestDataset:
         ds = Dataset(bits)
         assert (ds.packed == pack_bits(bits)).all()
 
+    def test_equality_is_identity(self):
+        # comparing the bits arrays field by field raised instead
+        x = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
+        a, b = Dataset(x), Dataset(x)
+        assert (a == b) is False
+        assert (a == a) is True
+
 
 class TestBinaryCsv:
     def test_small_file(self, tmp_path):

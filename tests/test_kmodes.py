@@ -19,13 +19,13 @@ class TestKModesRun:
         res = kmodes_run(ds, 1, seed=0)
         assert set(res.labels) == {0}
         rows, ones = ds.bits.tolist(), [1] * ds.n
-        assert inertia_ref(rows, ones, res.prototypes[0].bits.tolist()) == \
+        assert inertia_ref(rows, ones, res.prototypes[0].tolist()) == \
             best_center_ref(rows, ones)[1]
 
     def test_k_one_no_ties(self):
         ds = dataset(["001", "011", "111"])
         res = kmodes_run(ds, 1, seed=0)
-        assert res.prototypes[0].bits.tolist() == majority_ref(ds.bits.tolist())
+        assert res.prototypes[0].tolist() == majority_ref(ds.bits.tolist())
 
     def test_k_equals_n_distinct(self):
         ds = dataset(["000", "011", "101", "110"])
@@ -47,9 +47,10 @@ class TestKModesRun:
                 assert res.labels[0] != res.labels[2]
                 # third bits tie inside each side, anchored to the previous
                 # prototype, so each side yields one of its own two points
-                low = res.prototypes[res.labels[0]].to01()
-                high = res.prototypes[res.labels[2]].to01()
-                assert low in ("000", "001") and high in ("110", "111")
+                low = res.prototypes[res.labels[0]].tolist()
+                high = res.prototypes[res.labels[2]].tolist()
+                assert low in ([0, 0, 0], [0, 0, 1])
+                assert high in ([1, 1, 0], [1, 1, 1])
                 found = True
         assert found
 
@@ -72,19 +73,23 @@ class TestKModesRun:
         rng = np.random.default_rng(11)
         ds = Dataset(rng.integers(0, 2, size=(30, 8)))
         res = kmodes_run(ds, 4, seed=2)
+        # one read-only uint8 row per cluster
+        assert res.prototypes.shape == (4, 8)
+        assert res.prototypes.dtype == np.uint8
+        assert not res.prototypes.flags.writeable
         for j in range(4):
             members = ds.bits[res.labels == j].tolist()
             if members:
                 # the stored prototype minimizes inertia at least as well as
                 # the unanchored majority (ties were anchored to its own bits)
-                proto = res.prototypes[j].bits.tolist()
+                proto = res.prototypes[j].tolist()
                 assert proto == majority_ref(members, tie_bits=proto)
 
     def test_total_inertia_consistent(self):
         rng = np.random.default_rng(5)
         ds = Dataset(rng.integers(0, 2, size=(25, 6)))
         res = kmodes_run(ds, 3, seed=9)
-        total = sum(int((ds.bits[i] != res.prototypes[res.labels[i]].bits).sum())
+        total = sum(int((ds.bits[i] != res.prototypes[res.labels[i]]).sum())
                     for i in range(ds.n))
         assert res.total_inertia == total
 
@@ -96,7 +101,7 @@ class TestKModesRun:
             rng = np.random.default_rng(seed)
             ds = Dataset(rng.integers(0, 2, size=(30, 7)))
             res = kmodes_run(ds, 4, seed=seed, max_iter=max_iter)
-            protos = [p.bits.tolist() for p in res.prototypes]
+            protos = res.prototypes.tolist()
             want = sum(hamming_ref(row, protos[lab])
                        for row, lab in zip(ds.bits.tolist(), res.labels.tolist()))
             assert res.total_inertia == want
@@ -158,7 +163,7 @@ def assert_matches_reference(ds, k, seed, max_iter, res):
     labels, protos, total, iterations, history, reseeds = kmodes_ref(
         ds.bits.tolist(), k, seed, max_iter)
     assert res.labels.tolist() == labels
-    assert [p.bits.tolist() for p in res.prototypes] == protos
+    assert res.prototypes.tolist() == protos
     assert res.total_inertia == total
     assert res.iterations == iterations
     assert res.inertia_history == history

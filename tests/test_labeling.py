@@ -82,9 +82,13 @@ class TestLabelClusters:
     def test_prototypes_are_median_centers(self):
         pts = bits("000", "001", "011", "111")
         lab = label_bits(pts, 1)
+        # one read-only uint8 row per cluster
+        assert lab.prototypes.shape == (lab.num_clusters, 3)
+        assert lab.prototypes.dtype == np.uint8
+        assert not lab.prototypes.flags.writeable
         for cid in range(lab.num_clusters):
             members = pts[lab.labels == cid].tolist()
-            assert lab.prototypes[cid].bits.tolist() == majority_ref(members)
+            assert lab.prototypes[cid].tolist() == majority_ref(members)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -183,7 +187,7 @@ class TestMatrixFunctions:
         assert first_seen == list(range(lab.num_clusters))
         for cid in range(lab.num_clusters):
             members = [rows[i] for i in np.flatnonzero(lab.labels == cid)]
-            assert lab.prototypes[cid].bits.tolist() == majority_ref(members)
+            assert lab.prototypes[cid].tolist() == majority_ref(members)
 
     def test_labeling_matches_reference_across_blocks(self):
         # 256-bit rows: the zero row, 128 unit rows e_i and 128 pendants
@@ -214,7 +218,7 @@ class TestMatrixFunctions:
         assert lab.labels.tolist() == [distinct.index(tuple(r)) for r in rows]
         for cid in range(lab.num_clusters):
             members = [rows[i] for i in np.flatnonzero(lab.labels == cid)]
-            assert lab.prototypes[cid].bits.tolist() == majority_ref(members)
+            assert lab.prototypes[cid].tolist() == majority_ref(members)
 
     def test_rejects_non_binary_and_non_matrix(self):
         with pytest.raises(ValueError):

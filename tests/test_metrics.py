@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms.binvec import BinaryVector
+from binnnms.binvec import DimensionMismatch
 from binnnms.ingest import Dataset
-from binnnms.labeling import ClusterLabeling
 from binnnms.metrics import arand, contingency, nmi, quantization_error, scores
 from oracles import all_vectors, arand_ref, hamming_ref, majority_ref, nmi_ref
 
@@ -141,30 +140,29 @@ class TestOracleAgreement:
         assert nmi(t, p) == pytest.approx(nmi(p, t), abs=1e-12)
 
 
-def _labeling(labels, protos):
-    return ClusterLabeling(np.array(labels),
-                           [BinaryVector.from_string(s) for s in protos])
+def protos(*strings):
+    return np.array([[int(c) for c in s] for s in strings], dtype=np.uint8)
 
 
 class TestQuantizationError:
     def test_zero_when_points_equal_prototypes(self):
         ds = Dataset(np.array([[0, 0], [1, 1]]))
-        assert quantization_error(ds, _labeling([0, 1], ["00", "11"])) == 0.0
+        assert quantization_error(ds, [0, 1], protos("00", "11")) == 0.0
 
     def test_single_cluster(self):
         ds = Dataset(np.array([[0, 0], [1, 1]]))
-        assert quantization_error(ds, _labeling([0, 0], ["00"])) == 1.0
+        assert quantization_error(ds, [0, 0], protos("00")) == 1.0
 
     def test_missing_prototype(self):
         ds = Dataset(np.array([[0, 0], [1, 1]]))
         with pytest.raises(ValueError):
-            quantization_error(ds, _labeling([0, 1], ["00"]))
+            quantization_error(ds, [0, 1], protos("00"))
 
     def test_negative_label(self):
         # a label of -1 must not read the last prototype
         ds = Dataset(np.array([[0, 0], [1, 1]]))
         with pytest.raises(ValueError):
-            quantization_error(ds, _labeling([0, -1], ["00", "11"]))
+            quantization_error(ds, [0, -1], protos("00", "11"))
 
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 240])
     def test_matches_brute_force_count(self, d):
@@ -172,19 +170,25 @@ class TestQuantizationError:
         # must not count
         rng = np.random.default_rng(d)
         ds = Dataset(rng.integers(0, 2, size=(40, d)))
-        protos = rng.integers(0, 2, size=(5, d)).tolist()
+        centres = rng.integers(0, 2, size=(5, d))
         labels = rng.integers(0, 5, size=40)
-        want = sum(hamming_ref(row, protos[lab]) for row, lab
+        want = sum(hamming_ref(row, centres[lab].tolist()) for row, lab
                    in zip(ds.bits.tolist(), labels.tolist())) / ds.n
-        got = quantization_error(
-            ds, ClusterLabeling(labels, [BinaryVector(p) for p in protos]))
-        assert got == want
+        assert quantization_error(ds, labels, centres) == want
 
     def test_prototype_width_mismatch(self):
         # 63 and 64 bits pack into the same single word
         ds = Dataset(np.zeros((2, 64), dtype=np.uint8))
+        with pytest.raises(DimensionMismatch):
+            quantization_error(ds, [0, 0], protos("0" * 63))
+
+    @pytest.mark.parametrize("bad", [np.array([0, 1]), np.array([[0, 2]]),
+                                     np.array([[0.5, 1.0]])])
+    def test_prototypes_must_be_a_bit_matrix(self, bad):
+        # a single row is not a (k, d) matrix; every cell must be 0 or 1
+        ds = Dataset(np.array([[0, 1], [1, 1]]))
         with pytest.raises(ValueError):
-            quantization_error(ds, _labeling([0, 0], ["0" * 63]))
+            quantization_error(ds, [0, 0], bad)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40)
@@ -195,11 +199,9 @@ class TestQuantizationError:
         labels = rng.integers(0, 2, size=n)
         if len(set(labels)) < 2:
             labels[0] = 1 - labels[0]
-        protos = [BinaryVector(majority_ref(ds.bits[labels == j].tolist()))
-                  for j in range(2)]
-        best = quantization_error(ds, ClusterLabeling(labels, protos))
+        medians = [majority_ref(ds.bits[labels == j].tolist()) for j in range(2)]
+        best = quantization_error(ds, labels, np.array(medians))
         for alt0 in all_vectors(d):
             for alt1 in all_vectors(d):
-                alt = ClusterLabeling(labels, [BinaryVector(alt0),
-                                               BinaryVector(alt1)])
-                assert best <= quantization_error(ds, alt) + 1e-12
+                alt = np.array([alt0, alt1])
+                assert best <= quantization_error(ds, labels, alt) + 1e-12

@@ -33,8 +33,8 @@ class TestBinnnmsPipeline:
         assert nmi(data.truth_labels, list(lab.labels)) == pytest.approx(1.0)
         assert arand(data.truth_labels, list(lab.labels)) == pytest.approx(1.0)
         # modes land on the true centers, so the prototypes match them
-        proto_set = {p.to01() for p in lab.prototypes}
-        center_set = {"".join(map(str, c)) for c in centers}
+        proto_set = {tuple(p) for p in lab.prototypes.tolist()}
+        center_set = {tuple(c) for c in centers.tolist()}
         assert proto_set == center_set
 
     def test_quantization_error_decreases_along_ascent(self):
@@ -42,10 +42,10 @@ class TestBinnnmsPipeline:
         endpoints = ascend_bits(data, data.bits, BgaConfig(k1=20)).endpoints
         eps = epsilon_bits(endpoints, k2=5)
         lab = label_bits(endpoints, eps)
-        final = quantization_error(data, lab)
+        final = quantization_error(data, lab.labels, lab.prototypes)
         # initial error: points against the same prototypes before any ascent
         initial = float(np.mean([
-            (data.bits[i] != lab.prototypes[lab.labels[i]].bits).sum()
+            (data.bits[i] != lab.prototypes[lab.labels[i]]).sum()
             for i in range(data.n)]))
         assert final == initial  # error is measured on the fixed data points
         assert final <= 3.0  # at most the planted flip count on average

@@ -47,8 +47,8 @@ def test_binnnms_finds_every_planted_centre(shape):
         lab = label_bits(endpoints, epsilon_bits(endpoints, 5))
         # the prototypes of the c largest clusters hold every planted centre
         largest = np.argsort(-np.bincount(lab.labels), kind="stable")[:c]
-        found = {lab.prototypes[j].to01() for j in largest.tolist()}
-        planted = {"".join(map(str, row)) for row in centres.tolist()}
+        found = {tuple(row) for row in lab.prototypes[largest].tolist()}
+        planted = {tuple(row) for row in centres.tolist()}
         assert planted <= found, f"seed {seed}"
         worst = min(worst, nmi(labels.tolist(), lab.labels.tolist()))
     assert worst >= floor
