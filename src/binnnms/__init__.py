@@ -1,6 +1,6 @@
 """Nearest-neighbor median shift clustering for binary data (BinNNMS)."""
 
-from .bga import BatchAscent, BgaConfig, ascend_bits
+from .bga import BatchAscent, ascend_bits
 from .binvec import (
     BinaryVector,
     DimensionMismatch,
@@ -18,7 +18,7 @@ from .labeling import ClusterLabeling, epsilon_bits, label_bits
 from .metrics import arand, nmi, quantization_error, scores
 
 __all__ = [
-    "BatchAscent", "BgaConfig", "ascend_bits",
+    "BatchAscent", "ascend_bits",
     "BinaryVector", "DimensionMismatch", "Feature", "FeatureSchema",
     "decode_categorical", "encode_categorical", "hamming",
     "Dataset", "load_binary_csv", "load_categorical_csv", "load_uci",

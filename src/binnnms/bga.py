@@ -36,23 +36,6 @@ TERMINATIONS = (FIXED_POINT, MAX_ITERATIONS)  # BatchAscent.ends order
 DEFAULT_J_MAX = 50
 
 
-@dataclass(frozen=True)
-class BgaConfig:
-    k1: int
-    j_max: int = DEFAULT_J_MAX
-
-    def __post_init__(self):
-        if self.k1 < 1:
-            raise ValueError("k1 must be positive")
-        if self.j_max < 1:
-            raise ValueError("j_max must be at least 1")
-
-
-def _check_k1(data: Dataset, k1: int) -> None:
-    if not 1 <= k1 <= data.n:
-        raise ValueError(f"k1 must be in [1, {data.n}], got {k1}")
-
-
 def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
     """One median-shift step for every row of the (m, d) bit matrix x."""
     idx, _ = hamming_topk(pack_bits(x), data.packed, k1)
@@ -68,14 +51,14 @@ def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchAscent:
     """The ascents of every row of a candidate bit matrix, as matrices.
 
     `rounds[j]` is (ids, bits): the ids of the candidates still active at
     step j + 1 and their (len(ids), d) iterates x_{j+1}. `ends` holds one
     index into TERMINATIONS per candidate; `endpoints` is the (m, d) matrix
-    of last iterates.
+    of last iterates. Ascents compare (and hash) by identity.
     """
 
     rounds: list[tuple[np.ndarray, np.ndarray]]
@@ -83,7 +66,8 @@ class BatchAscent:
     endpoints: np.ndarray
 
 
-def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
+def ascend_bits(data: Dataset, x0: np.ndarray, k1: int,
+                j_max: int = DEFAULT_J_MAX) -> BatchAscent:
     """The ascent from every row of the (m, d) 0/1 matrix x0.
 
     Each ascent iterates the median shift until a fixed point or j_max
@@ -96,20 +80,26 @@ def ascend_bits(data: Dataset, x0: np.ndarray, cfg: BgaConfig) -> BatchAscent:
     batched kNN (`hamming_topk`) and majority vote, and retires the
     candidates that stopped.
     """
+    # a failed sweep column writes the first of these messages to sweep.csv
+    if k1 < 1:
+        raise ValueError("k1 must be positive")
+    if j_max < 1:
+        raise ValueError("j_max must be at least 1")
     cur = bit_matrix(x0)
     if cur.shape[1] != data.d:
         raise DimensionMismatch(f"candidate dim {cur.shape[1]} != dataset dim {data.d}")
-    _check_k1(data, cfg.k1)
+    if k1 > data.n:
+        raise ValueError(f"k1 must be in [1, {data.n}], got {k1}")
     m = cur.shape[0]
     endpoints = cur.copy()
     ends = np.full(m, 1)  # indices into TERMINATIONS
     rounds = []
     active = np.arange(m)
-    for _ in range(cfg.j_max):
+    for _ in range(j_max):
         if not active.size:
             break
         first, inverse, _ = unique_rows(cur)
-        nxt = _vote(data, cur[first], cfg.k1)[inverse]
+        nxt = _vote(data, cur[first], k1)[inverse]
         rounds.append((active, nxt))
         endpoints[active] = nxt
         going = (nxt != cur).any(axis=1)

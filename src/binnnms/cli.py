@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bga import BgaConfig, ascend_bits
+from .bga import DEFAULT_J_MAX, ascend_bits
 from .binvec import DimensionMismatch
 from .ingest import (
     DataFormatError,
@@ -110,7 +110,7 @@ def _endpoints(data: Dataset, k1: int, j_max: int):
     point, or the points themselves when k1 == 0 (no ascent)."""
     if k1 == 0:
         return data.bits, None
-    ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
+    ascent = ascend_bits(data, data.bits, k1, j_max)
     return ascent.endpoints, ascent
 
 
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["binnnms", "kmodes"], default="binnnms")
     p.add_argument("--k1", type=int, default=10)
     p.add_argument("--k2", type=int, default=5)
-    p.add_argument("--jmax", type=int, default=50)
+    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
     p.add_argument("--epsilon-mode", choices=["mean_all", "kth_only"],
                    default="mean_all")
     p.add_argument("--k", type=int, default=2, help="kmodes cluster count")
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", required=True,
                    help='k1 grid, e.g. "0,2..30" (0 = skip gradient ascent)')
     p.add_argument("--k2", required=True, help='k2 grid, e.g. "1..20"')
-    p.add_argument("--jmax", type=int, default=50)
+    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
     p.add_argument("--epsilon-mode", choices=["mean_all", "kth_only"],
                    default="mean_all")
     p.add_argument("--out-dir", default="out")

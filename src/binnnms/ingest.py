@@ -41,7 +41,6 @@ class Dataset:
     bits: np.ndarray
     name: str = "dataset"
     truth_labels: list | None = None
-    schema: FeatureSchema | None = None
     missing_cells: int = 0
     packed: np.ndarray = field(init=False, repr=False)
 
@@ -220,21 +219,19 @@ def load_binary_csv(path, delimiter=None, header=False, label_column=None,
 
 
 def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
-                         header=False, label_column=None, name=None,
-                         missing_token="?") -> Dataset:
+                         header=False, label_column=None, name=None) -> Dataset:
     """Load a categorical CSV and encode it per the schema.
 
-    Missing cells (`missing_token`) encode as an all-zero block, so they
-    mismatch every concrete level equally under the Hamming distance.
+    Missing cells (`?`) encode as an all-zero block, so they mismatch every
+    concrete level equally under the Hamming distance.
     """
     rows, labels = _split_label(_read_rows(path, delimiter), header, label_column)
-    bits, missing = encode_rows(rows, schema, missing_token)
+    bits, missing = encode_rows(rows, schema)
     return Dataset(bits, name=name or Path(path).stem, truth_labels=labels,
-                   schema=schema, missing_cells=missing)
+                   missing_cells=missing)
 
 
-def encode_rows(rows: list[list[str]], schema: FeatureSchema,
-                missing_token="?") -> tuple[np.ndarray, int]:
+def encode_rows(rows: list[list[str]], schema: FeatureSchema) -> tuple[np.ndarray, int]:
     """Encode rows of categorical cells per the schema, in memory, as
     (bits, number of missing cells); see `load_categorical_csv`."""
     nfeat = len(schema.features)
@@ -250,7 +247,7 @@ def encode_rows(rows: list[list[str]], schema: FeatureSchema,
         col = 0
         for c, feat in enumerate(schema.features):
             cell = row[c]
-            if cell == missing_token:
+            if cell == "?":
                 missing += 1  # all-zero block
             elif feat.kind == "binary":
                 if cell not in ("0", "1"):
@@ -320,12 +317,12 @@ def parse_schema_file(path) -> FeatureSchema:
     return FeatureSchema(tuple(feats))
 
 
-def write_binary_csv(ds: Dataset, path, with_labels=True) -> None:
+def write_binary_csv(ds: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for i in range(ds.n):
             row = [str(b) for b in ds.bits[i]]
-            if with_labels and ds.truth_labels is not None:
+            if ds.truth_labels is not None:
                 row.append(str(ds.truth_labels[i]))
             writer.writerow(row)
 
@@ -380,18 +377,17 @@ def car_schema() -> FeatureSchema:
 def load_zoo(path) -> Dataset:
     """zoo.data: animal name, 16 features (legs is 6-valued), class 1-7."""
     rows = _read_rows(path, ",")
-    schema = zoo_schema()
     # drop the animal name and the class
-    bits, missing = encode_rows([row[1:-1] for row in rows], schema)
+    bits, missing = encode_rows([row[1:-1] for row in rows], zoo_schema())
     return Dataset(bits, name="zoo", truth_labels=[row[-1] for row in rows],
-                   schema=schema, missing_cells=missing)
+                   missing_cells=missing)
 
 
-def load_digits(path, threshold=1) -> Dataset:
+def load_digits(path) -> Dataset:
     """mfeat-pix: 2000 rows of 240 grayscale counts (0-6), 200 per digit.
 
-    Pixels binarize as value >= threshold; labels follow the fixed row
-    blocks (digit = row // 200).
+    Pixels binarize as value >= 1; labels follow the fixed row blocks
+    (digit = row // 200).
     """
     try:
         raw = np.loadtxt(path)
@@ -399,7 +395,7 @@ def load_digits(path, threshold=1) -> Dataset:
         raise DataFormatError(f"{path}: {exc}") from None
     if raw.ndim != 2 or raw.shape[1] != 240:
         raise DataFormatError(f"{path}: expected 240 columns, got {raw.shape}")
-    bits = (raw >= threshold).astype(np.uint8)
+    bits = (raw >= 1).astype(np.uint8)
     labels = [str(i // 200) for i in range(raw.shape[0])]
     return Dataset(bits, name="digits", truth_labels=labels)
 
@@ -435,16 +431,15 @@ def load_soybean(path) -> Dataset:
         for c, vals in enumerate(codes)))
     bits, missing = encode_rows([row[1:] for row in rows], schema)
     return Dataset(bits, name="soybean", truth_labels=[row[0] for row in rows],
-                   schema=schema, missing_cells=missing)
+                   missing_cells=missing)
 
 
 def load_car(path) -> Dataset:
     """car.data: 6 categorical string features, class last."""
     rows = _read_rows(path, ",")
-    schema = car_schema()
-    bits, missing = encode_rows([row[:-1] for row in rows], schema)
+    bits, missing = encode_rows([row[:-1] for row in rows], car_schema())
     return Dataset(bits, name="car", truth_labels=[row[-1] for row in rows],
-                   schema=schema, missing_cells=missing)
+                   missing_cells=missing)
 
 
 UCI_LOADERS = {
@@ -456,9 +451,9 @@ UCI_LOADERS = {
 }
 
 
-def load_uci(name: str, path, **kw) -> Dataset:
+def load_uci(name: str, path) -> Dataset:
     try:
         loader = UCI_LOADERS[name]
     except KeyError:
         raise ValueError(f"unknown dataset {name!r}; know {sorted(UCI_LOADERS)}") from None
-    return loader(path, **kw)
+    return loader(path)

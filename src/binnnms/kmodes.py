@@ -11,9 +11,10 @@ from .ingest import Dataset
 from .median import group_majority_bits
 
 
-@dataclass
+@dataclass(eq=False)
 class KModesResult:
-    """One run; row j of the read-only (k, d) uint8 `prototypes` is cluster j's."""
+    """One run; row j of the read-only (k, d) uint8 `prototypes` is cluster j's.
+    Results compare (and hash) by identity."""
 
     labels: np.ndarray
     prototypes: np.ndarray

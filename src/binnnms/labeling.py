@@ -17,10 +17,11 @@ from .median import group_majority_bits
 EPSILON_MODES = ("mean_all", "kth_only")
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterLabeling:
     """Cluster ids per input point plus the median-center prototypes, a
-    read-only (k, d) uint8 matrix whose row j is cluster j's prototype."""
+    read-only (k, d) uint8 matrix whose row j is cluster j's prototype.
+    Labelings compare (and hash) by identity."""
 
     labels: np.ndarray
     prototypes: np.ndarray

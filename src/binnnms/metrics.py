@@ -2,33 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .binvec import DimensionMismatch, bit_matrix, pack_bits
 from .ingest import Dataset
 
-NMI_NORMALIZATIONS = ("geometric", "arithmetic", "max")
 
-
-@dataclass
-class Contingency:
-    """Cross-tabulation of two labelings over the same points."""
-
-    table: np.ndarray
-    n: int
-
-    @property
-    def row_marginals(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-    @property
-    def col_marginals(self) -> np.ndarray:
-        return self.table.sum(axis=0)
-
-
-def contingency(truth, pred) -> Contingency:
+def contingency(truth, pred) -> np.ndarray:
+    """The int64 cross-tabulation of two labelings over the same points, rows
+    and columns in first-appearance order of their labels."""
     truth, pred = list(truth), list(pred)
     if len(truth) != len(pred):
         raise ValueError(f"label lengths differ: {len(truth)} vs {len(pred)}")
@@ -39,7 +21,7 @@ def contingency(truth, pred) -> Contingency:
     t = np.fromiter(map(rows.__getitem__, truth), dtype=np.int64, count=len(truth))
     p = np.fromiter(map(cols.__getitem__, pred), dtype=np.int64, count=len(pred))
     cells = np.bincount(t * len(cols) + p, minlength=len(rows) * len(cols))
-    return Contingency(cells.reshape(len(rows), len(cols)), len(truth))
+    return cells.reshape(len(rows), len(cols))
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -47,16 +29,12 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(truth, pred, normalization: str = "geometric") -> float:
-    """Normalized mutual information between two labelings.
-
-    Default normalization is the geometric mean of the entropies; arithmetic
-    and max are available. A degenerate pair where either partition carries
-    zero entropy scores 1.0 only when both are single-cluster, else 0.0.
-    """
-    if normalization not in NMI_NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return _nmi(contingency(truth, pred), normalization)
+def nmi(truth, pred) -> float:
+    """Normalized mutual information between two labelings, normalised by the
+    geometric mean of the entropies. A degenerate pair where either partition
+    carries zero entropy scores 1.0 only when both are single-cluster, else
+    0.0."""
+    return _nmi(contingency(truth, pred))
 
 
 def arand(truth, pred) -> float:
@@ -69,35 +47,30 @@ def scores(truth, pred) -> tuple[float, float]:
     """(nmi, arand) of two labelings from one contingency table; the same
     values as `nmi(truth, pred)` and `arand(truth, pred)`."""
     ct = contingency(truth, pred)
-    return _nmi(ct, "geometric"), _arand(ct)
+    return _nmi(ct), _arand(ct)
 
 
-def _nmi(ct: Contingency, normalization: str) -> float:
-    hu = _entropy(ct.row_marginals, ct.n)
-    hv = _entropy(ct.col_marginals, ct.n)
+def _nmi(table: np.ndarray) -> float:
+    n = int(table.sum())
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    hu, hv = _entropy(rows, n), _entropy(cols, n)
     if hu == 0.0 or hv == 0.0:
         return 1.0 if hu == hv == 0.0 else 0.0
-    nz = ct.table[ct.table > 0]
-    pij = nz / ct.n
-    outer = np.outer(ct.row_marginals, ct.col_marginals)[ct.table > 0] / (ct.n ** 2)
+    nz = table > 0
+    pij = table[nz] / n
+    outer = np.outer(rows, cols)[nz] / (n ** 2)
     mi = float((pij * np.log(pij / outer)).sum())
-    if normalization == "geometric":
-        denom = np.sqrt(hu * hv)
-    elif normalization == "arithmetic":
-        denom = 0.5 * (hu + hv)
-    else:
-        denom = max(hu, hv)
-    return min(1.0, max(0.0, mi / denom))
+    return min(1.0, max(0.0, mi / np.sqrt(hu * hv)))
 
 
-def _arand(ct: Contingency) -> float:
+def _arand(table: np.ndarray) -> float:
     def comb2(x):
         return x * (x - 1) / 2.0
 
-    sum_ij = comb2(ct.table.astype(float)).sum()
-    sum_a = comb2(ct.row_marginals.astype(float)).sum()
-    sum_b = comb2(ct.col_marginals.astype(float)).sum()
-    pairs = comb2(float(ct.n))
+    sum_ij = comb2(table.astype(float)).sum()
+    sum_a = comb2(table.sum(axis=1).astype(float)).sum()
+    sum_b = comb2(table.sum(axis=0).astype(float)).sum()
+    pairs = comb2(float(table.sum()))
     expected = sum_a * sum_b / pairs if pairs else 0.0
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_bits
+from binnnms.bga import ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.ingest import CAR_VOCABS, Dataset, car_schema, encode_rows, load_uci
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
@@ -78,7 +78,7 @@ def test_c3_bga_step_oracle():
         rows = rng.integers(0, 2, size=(n, d))
         x = rng.integers(0, 2, size=d)
         k1 = int(rng.integers(1, n + 1))
-        got = ascend_bits(Dataset(rows), x[None], BgaConfig(k1, j_max=1)).endpoints[0]
+        got = ascend_bits(Dataset(rows), x[None], k1, j_max=1).endpoints[0]
         assert got.tolist() == step_ref(rows.tolist(), x.tolist(), k1)
     report("criterion 3: BGA step matches brute-force oracle (500 instances)")
 
@@ -168,7 +168,7 @@ def _binnnms_labeling(data, k1, k2, j_max=50, endpoints_cache={}):
     # keeps it alive, so a later dataset cannot take its id
     key = (data, k1, j_max)
     if key not in endpoints_cache:
-        ascent = ascend_bits(data, data.bits, BgaConfig(k1, j_max))
+        ascent = ascend_bits(data, data.bits, k1, j_max)
         endpoints_cache[key] = ascent.endpoints
     endpoints = endpoints_cache[key]
     return label_bits(endpoints, epsilon_bits(endpoints, k2))
@@ -258,7 +258,7 @@ def test_c12_zoo_error_trajectories():
 
     data = load_uci("zoo", uci_path("zoo.data"))
     for k1 in (3, 6, 10, 20):
-        ascent = ascend_bits(data, data.bits, BgaConfig(k1))
+        ascent = ascend_bits(data, data.bits, k1)
         rows = _trajectory_errors(data, ascent.rounds)
         assert len(rows) >= 2  # curve emitted per iteration
         assert rows[-1]["error_vs_target"] <= rows[0]["error_vs_target"]

@@ -3,8 +3,11 @@ into the live package."""
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import binnnms
 import binnnms.cli  # noqa: F401  (the tracer hooks every layer, cli included)
@@ -73,3 +76,18 @@ def test_tracer_installs_and_restores_every_hook():
     after = _package_attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_readme_example_runs(tmp_path, monkeypatch, capsys):
+    # the README's one python block, run on two planted clusters of 8 bits
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    [code] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    rng = np.random.default_rng(0)
+    centres = np.array([[0] * 8, [1] * 8])
+    rows = centres[np.repeat([0, 1], 20)] ^ (rng.random((40, 8)) < 0.1)
+    np.savetxt(tmp_path / "points.csv", rows, fmt="%d", delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("2 [")
+    assert 0.0 < float(out[-1]) < 8.0

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from binnnms.bga import (
+    DEFAULT_J_MAX,
     FIXED_POINT,
     MAX_ITERATIONS,
     TERMINATIONS,
-    BgaConfig,
     ascend_bits,
 )
 from binnnms.binvec import DimensionMismatch
@@ -25,14 +27,14 @@ def dataset(strings):
 
 def step(ds, x, k1):
     """One median-shift step from the 0/1 list x, as a list."""
-    got = ascend_bits(ds, np.array([x]), BgaConfig(k1, j_max=1))
+    got = ascend_bits(ds, np.array([x]), k1, j_max=1)
     return got.endpoints[0].tolist()
 
 
-def ascent(ds, x0, cfg):
+def ascent(ds, x0, k1, j_max=DEFAULT_J_MAX):
     """(iterates as 0/1 strings, termination) of the ascent from one string."""
     x0 = np.array([bits(x0)])
-    [(its, term)] = trajectories(ascend_bits(ds, x0, cfg), x0)
+    [(its, term)] = trajectories(ascend_bits(ds, x0, k1, j_max), x0)
     return ["".join(map(str, x)) for x in its], term
 
 
@@ -59,34 +61,44 @@ class TestMedianShiftStep:
 class TestAscend:
     def test_immediate_fixed_point(self):
         ds = dataset(["000", "001", "011", "111"])
-        its, term = ascent(ds, "000", BgaConfig(k1=2))
+        its, term = ascent(ds, "000", 2)
         assert its == ["000", "000"]
         assert term == FIXED_POINT
         assert len(its) == 2  # one step
 
     def test_two_step_convergence(self):
         ds = dataset(["111", "110", "101", "011"])
-        its, term = ascent(ds, "000", BgaConfig(k1=4))
+        its, term = ascent(ds, "000", 4)
         assert its == ["000", "111", "111"]
         assert term == FIXED_POINT
 
     def test_jmax_cap(self):
         ds = dataset(["111", "110", "101", "011"])
-        its, term = ascent(ds, "000", BgaConfig(k1=4, j_max=1))
+        its, term = ascent(ds, "000", 4, j_max=1)
         assert len(its) == 2  # one step
         assert term == MAX_ITERATIONS
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            BgaConfig(k1=0)
-        with pytest.raises(ValueError):
-            BgaConfig(k1=1, j_max=0)
+        # each call breaks every later check too, so each message shows that
+        # it fires first: a failed sweep column writes it into sweep.csv
+        ds = dataset(["01", "11"])
+        bad_bits, wide = np.array([[0, 2]]), np.zeros((1, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="^k1 must be positive$"):
+            ascend_bits(ds, bad_bits, 0, j_max=0)
+        with pytest.raises(ValueError, match="^j_max must be at least 1$"):
+            ascend_bits(ds, bad_bits, 3, j_max=0)
+        with pytest.raises(ValueError, match="^components must be exactly 0 or 1$"):
+            ascend_bits(ds, bad_bits, 3)
+        with pytest.raises(DimensionMismatch):
+            ascend_bits(ds, wide, 3)
+        with pytest.raises(ValueError, match=re.escape("k1 must be in [1, 2], got 3")):
+            ascend_bits(ds, np.array([bits("01")]), 3)
 
     def test_fixed_point_stability(self):
         ds = dataset(["0011", "0010", "1100", "1101", "0111"])
-        its, term = ascent(ds, "0000", BgaConfig(k1=3))
+        its, term = ascent(ds, "0000", 3)
         if term == FIXED_POINT:
-            again, again_term = ascent(ds, its[-1], BgaConfig(k1=3))
+            again, again_term = ascent(ds, its[-1], 3)
             assert again_term == FIXED_POINT
             assert len(again) == 2  # one step
             assert again[-1] == its[-1]
@@ -95,17 +107,19 @@ class TestAscend:
 class TestAscendAll:
     def test_order_and_values(self):
         ds = dataset(["111", "110", "101", "011"])
-        got = ascend_bits(ds, np.array([bits("000"), bits("111")]), BgaConfig(k1=4))
+        got = ascend_bits(ds, np.array([bits("000"), bits("111")]), 4)
         assert got.endpoints.tolist() == [bits("111"), bits("111")]
+        # ascents compare by identity, not array by array
+        assert (got == ascend_bits(ds, ds.bits, 4)) is False and (got == got) is True
 
     def test_empty_candidates(self):
         ds = dataset(["01"])
         x0 = np.zeros((0, 2), dtype=np.uint8)
-        assert trajectories(ascend_bits(ds, x0, BgaConfig(k1=1)), x0) == []
+        assert trajectories(ascend_bits(ds, x0, 1), x0) == []
 
     def test_identical_points_all_fixed(self):
         ds = dataset(["0101"] * 5)
-        got = ascend_bits(ds, ds.bits, BgaConfig(k1=3))
+        got = ascend_bits(ds, ds.bits, 3)
         for its, term in trajectories(got, ds.bits):
             assert term == FIXED_POINT
             assert its == [bits("0101"), bits("0101")]
@@ -134,7 +148,7 @@ class TestProperties:
         ds = Dataset(np.array(rows))
         x0 = np.array([x])
         [(its, term)] = trajectories(
-            ascend_bits(ds, x0, BgaConfig(k1=k1, j_max=20)), x0)
+            ascend_bits(ds, x0, k1, j_max=20), x0)
         # every consecutive pair obeys the recurrence, iterates stay binary
         for a, b in zip(its, its[1:]):
             assert b == step(ds, a, k1)
@@ -152,7 +166,7 @@ class TestProperties:
         k1 = data.draw(st.integers(1, len(rows)))
         x0 = np.array([x])
         [(its, term)] = trajectories(
-            ascend_bits(Dataset(np.array(rows)), x0, BgaConfig(k1=k1)), x0)
+            ascend_bits(Dataset(np.array(rows)), x0, k1), x0)
 
         def f(v):
             return sum(sorted(hamming_ref(r, v) for r in rows)[:k1])
@@ -186,7 +200,7 @@ class TestBatchedEngine:
                                    min_size=1, max_size=12), label="cands")
         ds = Dataset(np.array(rows))
         x0 = np.array(cands)
-        got = trajectories(ascend_bits(ds, x0, BgaConfig(k1=k1, j_max=j_max)), x0)
+        got = trajectories(ascend_bits(ds, x0, k1, j_max=j_max), x0)
         assert got == [ascend_ref(rows, c, k1, j_max) for c in cands]
 
     @given(ascent_instances, st.data())
@@ -195,11 +209,11 @@ class TestBatchedEngine:
         pool, picks, extra = inst
         rows = [pool[i % len(pool)] for i in picks]
         k1 = data.draw(st.integers(1, len(rows)), label="k1")
-        cfg = BgaConfig(k1=k1, j_max=data.draw(st.integers(1, 4), label="j_max"))
+        j_max = data.draw(st.integers(1, 4), label="j_max")
         cands = data.draw(st.lists(st.sampled_from(rows + extra), min_size=1,
                                    max_size=12), label="cands")
         ds = Dataset(np.array(rows))
-        got = ascend_bits(ds, np.array(cands), cfg)
+        got = ascend_bits(ds, np.array(cands), k1, j_max)
         prev = np.arange(len(cands))
         for ids, round_bits in got.rounds:
             # each round's candidates are a subset of the previous round's
@@ -209,15 +223,15 @@ class TestBatchedEngine:
         for c, (its, term) in enumerate(trajectories(got, np.array(cands))):
             assert TERMINATIONS[got.ends[c]] == term
             assert got.endpoints[c].tolist() == its[-1]
-            assert (its, term) == ascend_ref(rows, cands[c], k1, cfg.j_max)
+            assert (its, term) == ascend_ref(rows, cands[c], k1, j_max)
 
     def test_bit_matrix_checks(self):
         ds = dataset(["010", "111"])
         with pytest.raises(DimensionMismatch):
-            ascend_bits(ds, np.zeros((2, 2), dtype=np.uint8), BgaConfig(k1=1))
+            ascend_bits(ds, np.zeros((2, 2), dtype=np.uint8), 1)
         with pytest.raises(ValueError):
-            ascend_bits(ds, np.array([[0, 2, 1]]), BgaConfig(k1=1))
-        empty = ascend_bits(ds, np.zeros((0, 3), dtype=np.uint8), BgaConfig(k1=1))
+            ascend_bits(ds, np.array([[0, 2, 1]]), 1)
+        empty = ascend_bits(ds, np.zeros((0, 3), dtype=np.uint8), 1)
         assert empty.rounds == [] and empty.endpoints.shape == (0, 3)
 
     @pytest.mark.parametrize("k1", [255, 256])
@@ -231,10 +245,9 @@ class TestBatchedEngine:
         rows = pool[rng.permutation(np.repeat([0, 1, 2], [128, 128, 300]))].tolist()
         cands = [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [1] * 6, [0, 1, 1, 1, 1, 1],
                  *rng.integers(0, 2, size=(4, 6)).tolist()]
-        cfg = BgaConfig(k1=k1, j_max=4)
-        got = ascend_bits(Dataset(np.array(rows)), np.array(cands), cfg)
+        got = ascend_bits(Dataset(np.array(rows)), np.array(cands), k1, j_max=4)
         for c, traj in zip(cands, trajectories(got, np.array(cands))):
-            assert traj == ascend_ref(rows, c, k1, cfg.j_max)
+            assert traj == ascend_ref(rows, c, k1, 4)
         assert got.endpoints[0].tolist() == bits("000001" if k1 == 256 else "000000")
 
     def test_matches_reference_across_blocks(self):
@@ -246,6 +259,6 @@ class TestBatchedEngine:
         rows = pool[rng.integers(0, 300, size=3000)].tolist()
         ds = Dataset(np.array(rows))
         cands = rows[::100] + rng.integers(0, 2, size=(5, 12)).tolist()
-        got = ascend_bits(ds, np.array(cands), BgaConfig(k1=40, j_max=4))
+        got = ascend_bits(ds, np.array(cands), 40, j_max=4)
         for c, traj in zip(cands, trajectories(got, np.array(cands))):
             assert traj == ascend_ref(rows, c, 40, 4)

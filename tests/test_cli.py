@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_bits
+from binnnms.bga import ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.cli import (
     EXIT_DATA,
@@ -197,20 +197,23 @@ class TestSweep:
         assert any(l.split(",")[-1] == "ok" for l in lines[1:])
 
     def test_artifact_bytes(self, tmp_path):
-        # k1 = 99 > n fails its whole column, k2 = 9 > m - 1 fails single cells
+        # k1 = -1 and k1 = 99 > n fail their whole columns, k2 = 9 > m - 1
+        # fails single cells
         data = tmp_path / "small.csv"
         data.write_text("0,0,0,0,0,1,a\n0,0,0,1,0,0,a\n0,1,0,0,0,0,a\n"
                         "0,0,0,0,0,0,a\n1,1,1,1,1,0,b\n1,1,0,1,1,1,b\n"
                         "1,1,1,1,1,1,b\n0,1,1,1,1,1,b\n")
         out = tmp_path / "s"
         rc = main(["sweep", "--data", str(data), "--label-column", "-1",
-                   "--k1", "0,1,99", "--k2", "1,2,9", "--out-dir", str(out)])
+                   "--k1=-1,0,1,99", "--k2", "1,2,9", "--out-dir", str(out)])
         assert rc == EXIT_OK
         k2_error = ',,,,,,"error: k2 must be at most m-1 = 7, got 9"\n'
         k1_error = ',,,,,,"error: k1 must be in [1, 8], got 99"\n'
+        k1_sign_error = ",,,,,,error: k1 must be positive\n"
         text = (out / "sweep.csv").read_text()
         assert text == (
             "k1,k2,epsilon,num_clusters,nmi,arand,quant_error_final,status\n"
+            "-1,1" + k1_sign_error + "-1,2" + k1_sign_error + "-1,9" + k1_sign_error +
             "0,1,1.0,2,1.0,1.0,0.75,ok\n"
             "0,2,1.375,2,1.0,1.0,0.75,ok\n"
             "0,9" + k2_error +
@@ -236,8 +239,7 @@ class TestTrajectoryErrors:
         truth = rng.integers(0, 3, size=90)
         bits = centres[truth] ^ (rng.random((90, 16)) < 0.3)
         data = Dataset(bits, truth_labels=[f"c{t}" for t in truth])
-        cfg = BgaConfig(k1=7, j_max=6)
-        ascent = ascend_bits(data, data.bits, cfg)
+        ascent = ascend_bits(data, data.bits, 7, j_max=6)
         got = _trajectory_errors(data, ascent.rounds)
 
         iterates = [its for its, _ in trajectories(ascent, data.bits)]

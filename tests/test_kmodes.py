@@ -77,6 +77,8 @@ class TestKModesRun:
         assert res.prototypes.shape == (4, 8)
         assert res.prototypes.dtype == np.uint8
         assert not res.prototypes.flags.writeable
+        # results compare by identity, not array by array
+        assert (res == kmodes_run(ds, 4, seed=2)) is False and (res == res) is True
         for j in range(4):
             members = ds.bits[res.labels == j].tolist()
             if members:

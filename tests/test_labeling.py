@@ -86,6 +86,8 @@ class TestLabelClusters:
         assert lab.prototypes.shape == (lab.num_clusters, 3)
         assert lab.prototypes.dtype == np.uint8
         assert not lab.prototypes.flags.writeable
+        # labelings compare by identity, not array by array
+        assert (lab == label_bits(pts, 1)) is False and (lab == lab) is True
         for cid in range(lab.num_clusters):
             members = pts[lab.labels == cid].tolist()
             assert lab.prototypes[cid].tolist() == majority_ref(members)

@@ -10,11 +10,10 @@ from oracles import all_vectors, arand_ref, hamming_ref, majority_ref, nmi_ref
 
 class TestContingency:
     def test_counts_and_marginals(self):
-        ct = contingency([0, 0, 1, 1], [0, 0, 1, 2])
-        assert ct.n == 4
-        assert ct.table.sum() == 4
-        assert list(ct.row_marginals) == [2, 2]
-        assert list(ct.col_marginals) == [2, 1, 1]
+        table = contingency([0, 0, 1, 1], [0, 0, 1, 2])
+        assert table.sum() == 4
+        assert list(table.sum(axis=1)) == [2, 2]
+        assert list(table.sum(axis=0)) == [2, 1, 1]
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
                     min_size=1, max_size=60),
@@ -35,10 +34,10 @@ class TestContingency:
         want = [[sum(1 for u, v in zip(truth, pred) if u == r and v == c)
                  for c in first_appearance(pred)]
                 for r in first_appearance(truth)]
-        ct = contingency(truth, pred)
-        assert ct.table.dtype == np.int64
-        assert ct.table.tolist() == want
-        assert ct.n == len(pairs)
+        table = contingency(truth, pred)
+        assert table.dtype == np.int64
+        assert table.tolist() == want
+        assert table.sum() == len(pairs)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -67,13 +66,6 @@ class TestNmi:
     def test_degenerate_single_cluster(self):
         assert nmi([0, 0, 0], [1, 1, 1]) == 1.0
         assert nmi([0, 0, 1], [1, 1, 1]) == 0.0
-
-    def test_normalization_options(self):
-        t, p = [0, 0, 1, 1], [0, 0, 1, 2]
-        for mode in ("geometric", "arithmetic", "max"):
-            assert 0.0 <= nmi(t, p, mode) <= 1.0
-        with pytest.raises(ValueError):
-            nmi(t, p, "bogus")
 
 
 class TestArand:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_bits
+from binnnms.bga import ascend_bits
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_run
 from binnnms.labeling import epsilon_bits, label_bits
@@ -26,7 +26,7 @@ def make_blobs(num_clusters=5, per_cluster=30, d=40, flips=3, seed=0):
 class TestBinnnmsPipeline:
     def test_recovers_well_separated_clusters(self):
         data, centers = make_blobs()
-        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=20)).endpoints
+        endpoints = ascend_bits(data, data.bits, 20).endpoints
         eps = epsilon_bits(endpoints, k2=5)
         lab = label_bits(endpoints, eps)
         assert lab.num_clusters == 5
@@ -39,7 +39,7 @@ class TestBinnnmsPipeline:
 
     def test_quantization_error_decreases_along_ascent(self):
         data, _ = make_blobs(seed=3)
-        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=20)).endpoints
+        endpoints = ascend_bits(data, data.bits, 20).endpoints
         eps = epsilon_bits(endpoints, k2=5)
         lab = label_bits(endpoints, eps)
         final = quantization_error(data, lab.labels, lab.prototypes)
@@ -70,6 +70,6 @@ class TestBinnnmsPipeline:
                 row[rng.choice(d, size=2, replace=False)] ^= 1
                 rows.append(row)
         data = Dataset(np.array(rows))
-        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=data.n)).endpoints
+        endpoints = ascend_bits(data, data.bits, data.n).endpoints
         lab = label_bits(endpoints, epsilon_bits(endpoints, 3))
         assert lab.single_cluster

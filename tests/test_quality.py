@@ -11,7 +11,7 @@ over the 20 seeds measured when the gate was set, by the margin noted.
 import numpy as np
 import pytest
 
-from binnnms.bga import BgaConfig, ascend_bits
+from binnnms.bga import ascend_bits
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_repeated
 from binnnms.labeling import epsilon_bits, label_bits
@@ -43,7 +43,7 @@ def test_binnnms_finds_every_planted_centre(shape):
     for seed in SEEDS:
         bits, labels, centres = planted_bits(n, d, c, flip, seed)
         data = Dataset(bits)
-        endpoints = ascend_bits(data, data.bits, BgaConfig(k1=20)).endpoints
+        endpoints = ascend_bits(data, data.bits, 20).endpoints
         lab = label_bits(endpoints, epsilon_bits(endpoints, 5))
         # the prototypes of the c largest clusters hold every planted centre
         largest = np.argsort(-np.bincount(lab.labels), kind="stable")[:c]
