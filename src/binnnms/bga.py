@@ -43,9 +43,11 @@ def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
     # a vote count fits the narrowest type that holds k1, twice it the
     # narrowest that holds 2 * k1
     count, tie_test = np.min_scalar_type(k1), np.min_scalar_type(2 * k1)
-    # per row: k1 * d neighbor bits gathered, d counts of at most 8 bytes
+    # per row: k1 * d neighbor bits gathered, d counts of at most 8 bytes.
+    # The gather is neighbor-major, (k1, rows, d), so the count is k1 adds of
+    # whole contiguous (rows, d) planes.
     for sl in row_blocks(len(x), (k1 + 8) * data.d):
-        ones = data.bits[idx[sl]].sum(axis=1, dtype=count)
+        ones = data.bits[idx[sl].T].sum(axis=0, dtype=count)
         twice = 2 * ones.astype(tie_test, copy=False)
         out[sl] = np.where(twice == k1, x[sl], twice > k1)
     return out

@@ -9,7 +9,7 @@ import numpy as np
 _WORD_BITS = 64
 
 # Cap, in bytes, on each temporary of the blocked Hamming kernel: the
-# (queries, rows) uint64 XOR block; its uint8 counts and int32 distances are
+# (queries, rows) uint64 XOR block; its narrow counts and distances are
 # smaller.
 BLOCK_BYTES = 256 * 1024
 
@@ -80,23 +80,29 @@ def row_blocks(m: int, row_bytes: int):
 
 def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     """Hamming distances from packed queries to every packed row, one query
-    block at a time: yields (block slice, (block, rows) int32 distances),
-    every per-block temporary within BLOCK_BYTES.
+    block at a time: yields (block slice, (block, rows) distances), every
+    per-block temporary within BLOCK_BYTES.
 
-    The rows are copied word-major once per call, so each word of a query
-    block is one (block, rows) XOR and popcount over contiguous memory.
+    The distances come in the narrowest unsigned type that holds 64 * words
+    (uint8 up to 3 words, uint16 above), so mind wraparound in arithmetic on
+    them. The rows are copied word-major once per call, so each word of a
+    query block is one (block, rows) XOR and popcount over contiguous
+    memory; the first word's popcount lands in the distances themselves.
     """
     n, words = packed_rows.shape
+    dtype = np.min_scalar_type(64 * words)
     cols = np.ascontiguousarray(packed_rows.T)
     blocks = row_blocks(q_packed.shape[0], 8 * n)
     size = blocks[0].stop if blocks else 0
     xor = np.empty((size, n), dtype=np.uint64)
-    ones = np.empty((size, n), dtype=np.uint8)
+    ones = np.empty((size, n), dtype=dtype)
     for sl in blocks:
         q = q_packed[sl]
         b = len(q)
-        dist = np.zeros((b, n), dtype=np.int32)
-        for w in range(words):
+        dist = np.empty((b, n), dtype=dtype)
+        np.bitwise_xor(q[:, 0, None], cols[0], out=xor[:b])
+        np.bitwise_count(xor[:b], out=dist)
+        for w in range(1, words):
             np.bitwise_xor(q[:, w, None], cols[w], out=xor[:b])
             dist += np.bitwise_count(xor[:b], out=ones[:b])
         yield sl, dist
@@ -114,17 +120,18 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
 
     Both are (queries, k), ordered by (distance, row index), so a boundary
     tie goes to the lower index. The row index rides in the low part of the
-    partition key `distance * n + index`, which makes every key unique.
+    partition key `distance * n + index`, which makes every key unique; the
+    key is cast from the narrow distances by the multiply itself.
     """
     n, words = packed_rows.shape
     dtype = _key_dtype(n, words)
     keys = np.empty((q_packed.shape[0], k), dtype=dtype)
     index = np.arange(n, dtype=dtype)
     for sl, dist in hamming_blocks(q_packed, packed_rows):
-        key = dist.astype(dtype, copy=False)
-        key *= n
+        key = np.multiply(dist, n, dtype=dtype)
         key += index
-        keys[sl] = np.partition(key, k - 1, axis=1)[:, :k]
+        key.partition(k - 1, axis=1)
+        keys[sl] = key[:, :k]
     keys.sort(axis=1)
     return keys % n, keys // n
 

@@ -21,6 +21,7 @@ from .ingest import (
     DataFormatError,
     Dataset,
     _decode,
+    _read_input,
     dataset_summary,
     load_binary_csv,
     load_categorical_csv,
@@ -268,7 +269,7 @@ def cmd_sweep(args) -> int:
 
 def _read_label_file(path) -> list[str]:
     labels = []
-    for line in _decode(Path(path).read_bytes(), path).splitlines():
+    for line in _decode(_read_input(path), path).splitlines():
         line = line.strip()
         if not line or line.lower().startswith("index,"):
             continue

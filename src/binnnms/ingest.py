@@ -72,6 +72,15 @@ class Dataset:
 
 # --- delimited text ---------------------------------------------------------
 
+def _read_input(path) -> bytes:
+    """The bytes of an input file. A path that names no readable file (a
+    directory, or no read permission) is a DataFormatError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except (IsADirectoryError, PermissionError) as exc:
+        raise DataFormatError(f"{path}: cannot read the input: {exc.strerror}") from None
+
+
 def _decode(raw: bytes, path) -> str:
     """The text `open` reads from the file's bytes; bytes that do not decode
     are a DataFormatError naming the file."""
@@ -85,7 +94,7 @@ def _read_rows(path, delimiter=None, raw: bytes | None = None) -> list[list[str]
     """Nonblank lines as lists of stripped cells. `raw` is the file's bytes
     when the caller has already read them."""
     if raw is None:
-        raw = Path(path).read_bytes()
+        raw = _read_input(path)
     rows = []
     for line in _decode(raw, path).splitlines():
         line = line.strip()
@@ -201,7 +210,7 @@ def load_binary_csv(path, delimiter=None, header=False, label_column=None,
     A plain file (see `_plain_bits`) is read straight from its bytes; any
     other file goes through the general reader, with the same result.
     """
-    raw = Path(path).read_bytes()
+    raw = _read_input(path)
     plain = None if header else _plain_bits(raw, delimiter, label_column)
     if plain is not None:
         bits, labels = plain
@@ -296,7 +305,7 @@ def parse_schema_file(path) -> FeatureSchema:
     '#' starts a comment.
     """
     feats = []
-    text = _decode(Path(path).read_bytes(), path)
+    text = _decode(_read_input(path), path)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -64,8 +64,7 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     cluster = np.arange(k, dtype=key_type)[:, None]
     for iterations in range(1, max_iter + 1):
         dist = _distance_matrix(data, proto)
-        key = dist.astype(key_type)
-        key *= k
+        key = np.multiply(dist, k, dtype=key_type)
         key += cluster
         key = key.min(axis=0)
         new_labels = (key % k).astype(np.int64)

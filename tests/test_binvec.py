@@ -14,6 +14,9 @@ from binnnms.binvec import (
     pack_bits,
     unique_rows,
 )
+from binnnms.ingest import Dataset
+from binnnms.kmodes import kmodes_run
+from binnnms.labeling import label_bits
 from oracles import hamming_ref, knn_ref
 
 bitlists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
@@ -118,7 +121,7 @@ class TestHammingBlocks:
         blocks = list(hamming_blocks(packed[:40], packed))
         assert [sl.start for sl, _ in blocks] == list(range(0, 40, 6))
         got = np.concatenate([dist for _, dist in blocks])
-        assert got.dtype == np.int32
+        assert got.dtype == np.uint8
         assert np.array_equal(got, (bits[:40, None, :] != bits).sum(axis=2))
 
     @pytest.mark.parametrize("d", [130, 240])
@@ -132,6 +135,48 @@ class TestHammingBlocks:
         assert [sl.start for sl, _ in blocks] == list(range(0, 40, 10))
         got = np.concatenate([dist for _, dist in blocks])
         assert np.array_equal(got, (queries[:, None, :] != bits).sum(axis=2))
+
+
+class TestWidestDistances:
+    """All-ones against all-zeros rows, at the widths where the narrow
+    distance type steps from uint8 (3 words) to uint16 (4 words): the
+    distances d = 192, 193 and 256 must come out exact, never wrapped."""
+
+    @staticmethod
+    def rows(d):
+        # rows 0 and 2 all ones, rows 1 and 3 all zeros
+        return np.tile(np.eye(2, 1, dtype=np.uint8).repeat(d, axis=1), (2, 1))
+
+    @pytest.mark.parametrize("d,dtype", [(192, np.uint8), (193, np.uint16),
+                                         (256, np.uint16)])
+    def test_blocks(self, d, dtype):
+        packed = pack_bits(self.rows(d))
+        (_, dist), = hamming_blocks(packed, packed)
+        assert dist.dtype == dtype
+        assert dist.tolist() == [[0, d, 0, d], [d, 0, d, 0]] * 2
+
+    @pytest.mark.parametrize("d", [192, 193, 256])
+    def test_topk(self, d):
+        packed = pack_bits(self.rows(d))
+        idx, dist = hamming_topk(packed, packed, 4)
+        assert idx.tolist() == [[0, 2, 1, 3], [1, 3, 0, 2]] * 2
+        assert dist.tolist() == [[0, 0, d, d]] * 4
+
+    @pytest.mark.parametrize("d", [192, 193, 256])
+    def test_label_bits(self, d):
+        assert label_bits(self.rows(d), d - 0.5).num_clusters == 2
+        assert label_bits(self.rows(d), d).num_clusters == 1
+
+    @pytest.mark.parametrize("d", [192, 193, 256])
+    def test_kmodes_inertia(self, d):
+        # one cluster over ones, zeros, zeros: the prototype settles on
+        # zeros, at distance d from the ones row
+        data = Dataset(self.rows(d)[[0, 1, 3]])
+        for max_iter in (1, 100):  # the stopped-at-max_iter and converged sums
+            for seed in range(4):
+                res = kmodes_run(data, 1, seed=seed, max_iter=max_iter)
+                assert res.prototypes.tolist() == [[0] * d]
+                assert res.total_inertia == d
 
 
 class TestHammingTopk:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from binnnms.binvec import BinaryVector
 from binnnms.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     _trajectory_errors,
     _write_labels,
@@ -402,6 +404,48 @@ class TestLabelOnlyFile:
         f.write_text(text)
         assert main(["summary", "--data", str(f), "--label-column", "0"]) == EXIT_DATA
         assert "no data cells" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """An input path that names no readable file is a data error, exit 2;
+    an output directory that cannot be made stays a runtime failure."""
+
+    @pytest.mark.parametrize("flag", ["--data", "--schema"])
+    def test_directory_as_cluster_input(self, toy, tmp_path, capsys, flag):
+        argv = ["cluster", "--data", str(tmp_path if flag == "--data" else toy),
+                "--k1", "1", "--out-dir", str(tmp_path / "o")]
+        if flag == "--schema":
+            argv += ["--schema", str(tmp_path)]
+        rc = main(argv)
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("side", ["truth", "pred"])
+    def test_directory_as_label_file(self, tmp_path, capsys, side):
+        good = tmp_path / "good.txt"
+        good.write_text("a\nb\n")
+        files = {"truth": good, "pred": good, side: tmp_path}
+        assert main(["eval", "--truth", str(files["truth"]),
+                     "--pred", str(files["pred"])]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_permission_denied_is_data_error(self, toy, tmp_path, capsys,
+                                             monkeypatch):
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        assert main(["summary", "--data", str(toy)]) == EXIT_DATA
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_out_dir_over_a_file_stays_runtime(self, toy, tmp_path):
+        blocker = tmp_path / "o"
+        blocker.write_text("")
+        rc = main(["cluster", "--data", str(toy), "--k1", "1",
+                   "--out-dir", str(blocker)])
+        assert rc == EXIT_RUNTIME
 
 
 class TestEntryPoint:
