@@ -4,7 +4,8 @@
 For each workload and each seed in perfbench/reference_digests.json, write
 the seed's planted-cluster CSV, run the workload's command in this process
 through `binnnms.cli.main`, and compare the digests of the files it wrote
-with the recorded ones. Exits 1, listing each mismatch, if any differs.
+with the recorded ones. Exits 1, listing each mismatch, if any differs, and
+2, listing the known workloads, if a named workload has no digests.
 
     python3 scripts/check_digests.py [WORKLOAD ...]
 """
@@ -29,6 +30,11 @@ from workloads import WORKLOADS, write_planted_csv  # noqa: E402
 def main() -> int:
     table = json.loads(REFERENCE.read_text())
     names = sys.argv[1:] or sorted(table)
+    unknown = [name for name in names if name not in table]
+    if unknown:
+        print(f"unknown workload {', '.join(unknown)}; known workloads: "
+              f"{', '.join(sorted(table))}", file=sys.stderr)
+        return 2
     mismatches = checked = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

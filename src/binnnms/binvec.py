@@ -78,6 +78,11 @@ def row_blocks(m: int, row_bytes: int):
     return [slice(s, min(s + step, m)) for s in range(0, m, step)]
 
 
+def _distance_dtype(words: int):
+    """The narrowest unsigned type that holds a distance over `words` words."""
+    return np.min_scalar_type(64 * words)
+
+
 def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     """Hamming distances from packed queries to every packed row, one query
     block at a time: yields (block slice, (block, rows) distances), every
@@ -90,7 +95,7 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     memory; the first word's popcount lands in the distances themselves.
     """
     n, words = packed_rows.shape
-    dtype = np.min_scalar_type(64 * words)
+    dtype = _distance_dtype(words)
     cols = np.ascontiguousarray(packed_rows.T)
     blocks = row_blocks(q_packed.shape[0], 8 * n)
     size = blocks[0].stop if blocks else 0

@@ -32,7 +32,7 @@ from .ingest import (
 from .kmodes import kmodes_repeated
 from .labeling import epsilon_bits, label_bits
 from .median import group_majority_bits
-from .metrics import quantization_error, scores
+from .metrics import label_codes, quantization_error, scores
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,10 +121,19 @@ def _label(endpoints, k2: int, epsilon_mode: str):
     return label_bits(endpoints, epsilon), epsilon
 
 
-def _scores(data: Dataset, labels) -> dict:
+def _truth_codes(data: Dataset) -> np.ndarray | None:
+    """The class index of each point in first-appearance order of the truth
+    labels, or None without them: coded once per command, so each score
+    starts from integer codes."""
     if data.truth_labels is None:
+        return None
+    return label_codes(data.truth_labels)[0]
+
+
+def _scores(truth, labels) -> dict:
+    if truth is None:
         return {"nmi": None, "arand": None}
-    nmi, arand = scores(data.truth_labels, labels.tolist())
+    nmi, arand = scores(truth, labels)
     return {"nmi": round(nmi, 12), "arand": round(arand, 12)}
 
 
@@ -133,6 +142,7 @@ def cmd_cluster(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
+    truth = _truth_codes(data)
     if args.algo == "binnnms":
         if args.k1 < 1:
             raise ValueError("cluster requires k1 >= 1 (k1=0 exists only in sweep)")
@@ -146,16 +156,17 @@ def cmd_cluster(args) -> int:
             "single_cluster": labeling.single_cluster,
             "quantization_error": quantization_error(data, labels, prototypes),
         }
-        metrics.update(_scores(data, labels))
+        metrics.update(_scores(truth, labels))
     else:
         results = kmodes_repeated(data, args.k, args.runs, base_seed=args.seed)
         per_run = []
         for r in results:
+            # the inertia sums each point's distance to its prototype, so
+            # this is quantization_error(data, r.labels, r.prototypes)
             entry = {"seed": r.seed, "total_inertia": r.total_inertia,
                      "iterations": r.iterations,
-                     "quantization_error": quantization_error(data, r.labels,
-                                                             r.prototypes)}
-            entry.update(_scores(data, r.labels))
+                     "quantization_error": r.total_inertia / data.n}
+            entry.update(_scores(truth, r.labels))
             per_run.append(entry)
         best, best_entry = min(
             zip(results, per_run),
@@ -169,7 +180,7 @@ def cmd_cluster(args) -> int:
             "nmi": best_entry["nmi"], "arand": best_entry["arand"],
             "runs_detail": per_run,
         }
-        if data.truth_labels is not None and args.runs > 1:
+        if truth is not None and args.runs > 1:
             vals = np.array([e["nmi"] for e in per_run], dtype=float)
             avals = np.array([e["arand"] for e in per_run], dtype=float)
             metrics["nmi_mean"] = float(vals.mean())
@@ -187,21 +198,16 @@ def cmd_cluster(args) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
-def _target_prototypes(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per ground-truth class: (class index per point, prototype bit rows)."""
-    classes = list(dict.fromkeys(data.truth_labels))
-    cidx = np.array([classes.index(c) for c in data.truth_labels])
-    return cidx, group_majority_bits(data.bits, cidx, len(classes))
-
-
-def _trajectory_errors(data: Dataset, rounds) -> list[dict]:
+def _trajectory_errors(data: Dataset, cidx: np.ndarray, rounds) -> list[dict]:
     """Per BGA iteration: quantization error of the current iterates against
     the fixed target prototypes and against intermediate (recomputed) ones.
 
+    `cidx` is each point's class index, numbered from 0 (`_truth_codes`).
     `rounds` are the per-round (candidate ids, next iterates) of an ascent
     from every data point (`BatchAscent.rounds`); a finished ascent stays at
     its endpoint."""
-    cidx, target = _target_prototypes(data)
+    classes = int(cidx.max()) + 1
+    target = group_majority_bits(data.bits, cidx, classes)
     cur = data.bits.copy()
     rows = []
     for it in range(len(rounds) + 1):
@@ -209,20 +215,21 @@ def _trajectory_errors(data: Dataset, rounds) -> list[dict]:
             ids, bits = rounds[it - 1]
             cur[ids] = bits
         err_target = float((cur != target[cidx]).sum(axis=1).mean())
-        inter = group_majority_bits(cur, cidx, len(target))
+        inter = group_majority_bits(cur, cidx, classes)
         err_inter = float((cur != inter[cidx]).sum(axis=1).mean())
         rows.append({"iteration": it, "error_vs_target": err_target,
                      "error_vs_intermediate": err_inter})
     return rows
 
 
-def _sweep_cell(data: Dataset, endpoints, k1: int, k2: int, epsilon_mode: str) -> dict:
+def _sweep_cell(data: Dataset, truth, endpoints, k1: int, k2: int,
+                epsilon_mode: str) -> dict:
     labeling, epsilon = _label(endpoints, k2, epsilon_mode)
     return {"k1": k1, "k2": k2, "epsilon": epsilon,
             "num_clusters": labeling.num_clusters,
             "quant_error_final": quantization_error(data, labeling.labels,
                                                   labeling.prototypes),
-            "status": "ok", **_scores(data, labeling.labels)}
+            "status": "ok", **_scores(truth, labeling.labels)}
 
 
 def _write_csv(path: Path, fields: list[str], rows) -> None:
@@ -239,6 +246,7 @@ def cmd_sweep(args) -> int:
     k2_list = _parse_int_list(args.k2)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    truth = _truth_codes(data)
     rows, trajectories = [], {}
     for k1 in k1_list:
         try:
@@ -249,12 +257,12 @@ def cmd_sweep(args) -> int:
             continue
         for k2 in k2_list:
             try:
-                rows.append(_sweep_cell(data, endpoints, k1, k2,
+                rows.append(_sweep_cell(data, truth, endpoints, k1, k2,
                                         args.epsilon_mode))
             except Exception as exc:
                 rows.append({"k1": k1, "k2": k2, "status": f"error: {exc}"})
-        if ascent is not None and data.truth_labels is not None:
-            trajectories[k1] = _trajectory_errors(data, ascent.rounds)
+        if ascent is not None and truth is not None:
+            trajectories[k1] = _trajectory_errors(data, truth, ascent.rounds)
     _write_csv(out / "sweep.csv",
                ["k1", "k2", "epsilon", "num_clusters", "nmi", "arand",
                 "quant_error_final", "status"], rows)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -340,8 +341,9 @@ def dataset_summary(ds: Dataset) -> dict:
     out = {"name": ds.name, "n": ds.n, "d": ds.d,
            "missing_cells": ds.missing_cells}
     if ds.truth_labels is not None:
-        classes = sorted(set(ds.truth_labels), key=str)
-        hist = {str(c): ds.truth_labels.count(c) for c in classes}
+        counts = Counter(ds.truth_labels)
+        classes = sorted(counts, key=str)
+        hist = {str(c): counts[c] for c in classes}
         out["num_classes"] = len(classes)
         out["class_histogram"] = hist
         out["class_percent"] = {c: round(100.0 * v / ds.n, 2) for c, v in hist.items()}

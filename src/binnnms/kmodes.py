@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import _key_dtype, hamming_blocks, pack_bits, unique_rows
+from .binvec import _distance_dtype, _key_dtype, hamming_blocks, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -28,10 +28,13 @@ class KModesResult:
         return len(self.prototypes)
 
 
-def _distance_matrix(data: Dataset, proto_bits: np.ndarray) -> np.ndarray:
-    """(k, n) Hamming distances from each prototype to each data row."""
-    blocks = hamming_blocks(pack_bits(proto_bits), data.packed)
-    return np.concatenate([dist for _, dist in blocks])
+def _refresh_rows(data: Dataset, dist: np.ndarray, proto: np.ndarray,
+                  rows: np.ndarray) -> None:
+    """Recompute rows `rows` of the (k, n) distance matrix `dist` for their
+    prototypes `proto[rows]`, in one `hamming_blocks` call."""
+    if rows.size:
+        for sl, block in hamming_blocks(pack_bits(proto[rows]), data.packed):
+            dist[rows[sl]] = block
 
 
 def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
@@ -54,16 +57,21 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     if k > distinct.shape[0]:
         raise ValueError(f"k = {k} exceeds the {distinct.shape[0]} distinct points")
     rng = np.random.default_rng(seed)
-    proto = distinct[rng.choice(distinct.shape[0], size=k, replace=False)].copy()
+    proto = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
 
     labels = np.full(data.n, -1, dtype=np.int64)
     history: list[float] = []
+    # row j of dist holds the distances to proto[j]; a row depends only on
+    # its prototype, so only the rows in `moved` are ever recomputed
+    words = data.packed.shape[1]
+    dist = np.empty((k, data.n), dtype=_distance_dtype(words))
+    moved = np.arange(k)
     # each row's least key `distance * k + j` over the clusters j: the key
     # is unique, so ties go to the lowest j
-    key_type = _key_dtype(k, data.packed.shape[1])
+    key_type = _key_dtype(k, words)
     cluster = np.arange(k, dtype=key_type)[:, None]
     for iterations in range(1, max_iter + 1):
-        dist = _distance_matrix(data, proto)
+        _refresh_rows(data, dist, proto, moved)
         key = np.multiply(dist, k, dtype=key_type)
         key += cluster
         key = key.min(axis=0)
@@ -73,13 +81,15 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        proto = group_majority_bits(data.bits, labels, k, tie_bits=proto)
+        new_proto = group_majority_bits(data.bits, labels, k, tie_bits=proto)
         # an empty cluster's prototype is unchanged here (all its votes tie),
         # so dist[j] still holds the distances to it
         for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
-            proto[j] = data.bits[dist[j].argmax()]
-    else:  # stopped at max_iter: dist predates the last prototype update
-        dist = _distance_matrix(data, proto)
+            new_proto[j] = data.bits[dist[j].argmax()]
+        moved = np.flatnonzero((new_proto != proto).any(axis=1))
+        proto = new_proto
+    else:  # stopped at max_iter: the moved rows predate the last update
+        _refresh_rows(data, dist, proto, moved)
         total = float(dist[labels, np.arange(data.n)].sum())
     proto.flags.writeable = False
     return KModesResult(labels=labels, prototypes=proto, total_inertia=total,

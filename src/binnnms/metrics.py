@@ -8,20 +8,40 @@ from .binvec import DimensionMismatch, bit_matrix, pack_bits
 from .ingest import Dataset
 
 
+def label_codes(labels) -> tuple[np.ndarray, int]:
+    """(codes, count): each label's index among the `count` distinct labels,
+    numbered in order of first appearance.
+
+    A 1-d integer array of labels in [0, n) is coded without a Python pass
+    or a sort (coding each integer array with `np.unique` made a 30-restart
+    k-modes command 5-8% slower); any other labels must be hashable.
+    """
+    if (isinstance(labels, np.ndarray) and labels.ndim == 1
+            and labels.dtype.kind in "iu" and labels.size
+            and labels.min() >= 0 and labels.max() < labels.size):
+        first = np.full(int(labels.max()) + 1, labels.size, dtype=np.intp)
+        np.minimum.at(first, labels, np.arange(labels.size))
+        seen = np.flatnonzero(first < labels.size)
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[seen[np.argsort(first[seen])]] = np.arange(len(seen))
+        return rank[labels], len(seen)
+    labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    index = {u: i for i, u in enumerate(dict.fromkeys(labels))}
+    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp,
+                        count=len(labels))
+    return codes, len(index)
+
+
 def contingency(truth, pred) -> np.ndarray:
     """The int64 cross-tabulation of two labelings over the same points, rows
     and columns in first-appearance order of their labels."""
-    truth, pred = list(truth), list(pred)
-    if len(truth) != len(pred):
-        raise ValueError(f"label lengths differ: {len(truth)} vs {len(pred)}")
-    if not truth:
+    (t, rows), (p, cols) = label_codes(truth), label_codes(pred)
+    if len(t) != len(p):
+        raise ValueError(f"label lengths differ: {len(t)} vs {len(p)}")
+    if not len(t):
         raise ValueError("labelings must be nonempty")
-    rows = {u: i for i, u in enumerate(dict.fromkeys(truth))}
-    cols = {v: j for j, v in enumerate(dict.fromkeys(pred))}
-    t = np.fromiter(map(rows.__getitem__, truth), dtype=np.int64, count=len(truth))
-    p = np.fromiter(map(cols.__getitem__, pred), dtype=np.int64, count=len(pred))
-    cells = np.bincount(t * len(cols) + p, minlength=len(rows) * len(cols))
-    return cells.reshape(len(rows), len(cols))
+    cells = np.bincount(t * cols + p, minlength=rows * cols)
+    return cells.reshape(rows, cols)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

@@ -19,7 +19,7 @@ from binnnms.kmodes import kmodes_repeated, kmodes_run
 from binnnms.knn import knn_query
 from binnnms.labeling import epsilon_bits, label_bits
 from binnnms.median import majority_bits
-from binnnms.metrics import arand, nmi
+from binnnms.metrics import arand, label_codes, nmi
 from conftest import uci_path
 from oracles import (
     arand_ref,
@@ -257,9 +257,10 @@ def test_c12_zoo_error_trajectories():
     from binnnms.cli import _trajectory_errors
 
     data = load_uci("zoo", uci_path("zoo.data"))
+    cidx = label_codes(data.truth_labels)[0]
     for k1 in (3, 6, 10, 20):
         ascent = ascend_bits(data, data.bits, k1)
-        rows = _trajectory_errors(data, ascent.rounds)
+        rows = _trajectory_errors(data, cidx, ascent.rounds)
         assert len(rows) >= 2  # curve emitted per iteration
         assert rows[-1]["error_vs_target"] <= rows[0]["error_vs_target"]
         assert rows[-1]["error_vs_intermediate"] <= rows[0]["error_vs_intermediate"]

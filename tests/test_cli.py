@@ -21,6 +21,7 @@ from binnnms.cli import (
     main,
 )
 from binnnms.ingest import Dataset
+from binnnms.metrics import label_codes
 from conftest import trajectories
 from oracles import majority_ref
 
@@ -242,7 +243,8 @@ class TestTrajectoryErrors:
         bits = centres[truth] ^ (rng.random((90, 16)) < 0.3)
         data = Dataset(bits, truth_labels=[f"c{t}" for t in truth])
         ascent = ascend_bits(data, data.bits, 7, j_max=6)
-        got = _trajectory_errors(data, ascent.rounds)
+        got = _trajectory_errors(data, label_codes(data.truth_labels)[0],
+                                 ascent.rounds)
 
         iterates = [its for its, _ in trajectories(ascent, data.bits)]
         assert len({len(its) for its in iterates}) > 1

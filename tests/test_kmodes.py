@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import binnnms.kmodes
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_repeated, kmodes_run
+from binnnms.metrics import quantization_error
 from oracles import best_center_ref, hamming_ref, inertia_ref, kmodes_ref, majority_ref
 
 
@@ -205,3 +207,54 @@ class TestReference:
         ds = dataset(RESEED_ROWS)
         for res in kmodes_repeated(ds, 3, runs=4, base_seed=11754):
             assert_matches_reference(ds, 3, res.seed, 100, res)
+
+    def test_reused_rows_match_reference(self, monkeypatch):
+        # rows drawn around a few planted centres: after the first update
+        # some prototypes settle while others still move, so the loop
+        # recomputes only part of its distance matrix
+        kernel = binnnms.kmodes.hamming_blocks
+        sent = []  # prototype rows per kernel call, one list per run
+
+        def counting(q_packed, packed_rows):
+            sent[-1].append(len(q_packed))
+            return kernel(q_packed, packed_rows)
+
+        monkeypatch.setattr(binnnms.kmodes, "hamming_blocks", counting)
+
+        @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 100]))
+        @settings(max_examples=150, deadline=None)
+        def check(seed, max_iter):
+            rng = np.random.default_rng(seed)
+            d, c = int(rng.integers(8, 25)), int(rng.integers(2, 6))
+            centres = rng.integers(0, 2, size=(c, d))
+            n = int(rng.integers(20, 61))
+            flips = rng.random((n, d)) < 0.1
+            ds = Dataset(centres[rng.integers(0, c, size=n)] ^ flips)
+            k = int(rng.integers(2, min(5, len(np.unique(ds.bits, axis=0))) + 1))
+            sent.append([])
+            res = kmodes_run(ds, k, seed=seed, max_iter=max_iter)
+            assert_matches_reference(ds, k, seed, max_iter, res)
+            assert sent[-1][0] == k and all(1 <= m <= k for m in sent[-1])
+
+        check()
+        # some iteration after a run's first recomputed fewer than k rows
+        assert any(m < run[0] for run in sent for m in run[1:])
+
+
+class TestQuantizationIdentity:
+    # the CLI reports each restart's quantization error as total_inertia / n
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
+    def test_inertia_over_n_is_quantization_error(self, max_iter):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ds = Dataset(rng.integers(0, 2, size=(int(rng.integers(10, 40)), 9)))
+            res = kmodes_run(ds, 3, seed=seed, max_iter=max_iter)
+            assert quantization_error(ds, res.labels, res.prototypes) == \
+                res.total_inertia / ds.n
+
+    @pytest.mark.parametrize("max_iter", [2, 100])
+    def test_holds_after_a_reseed(self, max_iter):
+        ds = dataset(RESEED_ROWS)
+        res = kmodes_run(ds, 3, seed=11756, max_iter=max_iter)
+        assert quantization_error(ds, res.labels, res.prototypes) == \
+            res.total_inertia / ds.n

@@ -4,7 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from binnnms.binvec import DimensionMismatch
 from binnnms.ingest import Dataset
-from binnnms.metrics import arand, contingency, nmi, quantization_error, scores
+from binnnms.metrics import (
+    arand,
+    contingency,
+    label_codes,
+    nmi,
+    quantization_error,
+    scores,
+)
 from oracles import all_vectors, arand_ref, hamming_ref, majority_ref, nmi_ref
 
 
@@ -17,11 +24,13 @@ class TestContingency:
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
                     min_size=1, max_size=60),
-           st.sampled_from(["int", "str", "numpy"]))
+           st.sampled_from(["int", "str", "numpy", "int8", "uint16"]))
     @settings(max_examples=200)
     def test_matches_brute_force_count(self, pairs, kind):
         convert = {"int": list, "str": lambda xs: [f"c{x}" for x in xs],
-                   "numpy": np.array}[kind]
+                   "numpy": np.array,
+                   "int8": lambda xs: np.array(xs, dtype=np.int8),
+                   "uint16": lambda xs: np.array(xs, dtype=np.uint16)}[kind]
         truth, pred = (convert([pair[i] for pair in pairs]) for i in (0, 1))
 
         def first_appearance(labels):
@@ -46,6 +55,34 @@ class TestContingency:
     def test_empty(self):
         with pytest.raises(ValueError):
             contingency([], [])
+
+
+class TestIntegerLabels:
+    def test_codes_by_first_appearance(self):
+        for labels in ([3, 0, 3, 1, 0], np.array([3, 0, 3, 1, 0], dtype=np.int8)):
+            codes, count = label_codes(labels)
+            assert codes.tolist() == [0, 1, 0, 2, 1] and count == 3
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    @pytest.mark.parametrize("truth, pred", [
+        ([3, 0, 3, 1, 0], [1, 1, 0, 4, 0]),   # codes from the array
+        ([3, 0, 3, 1, 0], [9, 9, 7, 120, 7]),  # labels beyond n: the dict path
+        ([2, 2, 2], [0, 0, 0]),
+    ])
+    def test_array_matches_its_list(self, dtype, truth, pred):
+        # same table, same row and column order, bit-equal scores
+        t, p = np.array(truth, dtype=dtype), np.array(pred, dtype=dtype)
+        want = contingency(t.tolist(), p.tolist())
+        for args in ((t, p), (t, p.tolist()), (t.tolist(), p)):
+            table = contingency(*args)
+            assert table.dtype == want.dtype and table.tolist() == want.tolist()
+            assert scores(*args) == scores(t.tolist(), p.tolist())
+
+    def test_two_dimensional_labels_raise(self):
+        with pytest.raises(TypeError):
+            contingency(np.zeros((2, 2), dtype=np.int64), [0, 1])
+        with pytest.raises(TypeError):
+            scores([0, 1], np.zeros((2, 2), dtype=np.int64))
 
 
 class TestNmi:
