@@ -233,6 +233,8 @@ class Feature:
             object.__setattr__(self, "vocab", tuple(str(v) for v in self.vocab))
             if len(self.vocab) != self.levels:
                 raise ValueError("vocab length must equal levels")
+            if len(set(self.vocab)) != self.levels:  # a column no cell could set
+                raise ValueError(f"vocab repeats a level: {','.join(self.vocab)}")
 
     @property
     def width(self) -> int:
@@ -251,21 +253,21 @@ class FeatureSchema:
         return sum(f.width for f in self.features)
 
 
-def encode_categorical(level: int, levels: int, coding: str) -> BinaryVector:
-    """Encode a 1-based categorical level as a width-`levels` binary vector.
+def codewords(levels: int, coding: str) -> np.ndarray:
+    """The (levels, levels) uint8 codeword matrix: row l - 1 codes level l,
+    one-hot (disjunctive) or as its first l bits set (additive)."""
+    if coding not in CODINGS:
+        raise ValueError(f"unknown coding {coding!r}")
+    return (np.eye if coding == "disjunctive" else np.tri)(levels, dtype=np.uint8)
 
-    disjunctive: one-hot.  additive: first `level` bits set (unary staircase).
-    """
+
+def encode_categorical(level: int, levels: int, coding: str) -> BinaryVector:
+    """A 1-based categorical level as row `level - 1` of `codewords(levels, coding)`."""
     if coding not in CODINGS:
         raise ValueError(f"unknown coding {coding!r}")
     if not 1 <= level <= levels:
         raise ValueError(f"level {level} out of range [1, {levels}]")
-    bits = np.zeros(levels, dtype=np.uint8)
-    if coding == "disjunctive":
-        bits[level - 1] = 1
-    else:
-        bits[:level] = 1
-    return BinaryVector(bits)
+    return BinaryVector(codewords(levels, coding)[level - 1])
 
 
 @dataclass(frozen=True)
@@ -283,9 +285,6 @@ def decode_categorical(v: BinaryVector, levels: int, coding: str) -> DecodedLeve
     """
     if v.dim != levels:
         raise DimensionMismatch(f"codeword width {v.dim} != levels {levels}")
-    best_level, best_dist = 1, levels + 1
-    for level in range(1, levels + 1):
-        d = hamming(v, encode_categorical(level, levels, coding))
-        if d < best_dist:
-            best_level, best_dist = level, d
-    return DecodedLevel(best_level, best_dist == 0)
+    dist = (codewords(levels, coding) != v.bits).sum(axis=1)
+    best = int(dist.argmin())  # the first minimum: the lowest level
+    return DecodedLevel(best + 1, bool(dist[best] == 0))

@@ -11,12 +11,12 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .bga import DEFAULT_J_MAX, ascend_bits
-from .binvec import DimensionMismatch
 from .ingest import (
     DataFormatError,
     Dataset,
@@ -57,11 +57,10 @@ def _parse_label_column(value):
 
 
 def _load_dataset(args) -> Dataset:
-    fmt = getattr(args, "format", "auto")
-    if fmt not in ("auto", "binary", "categorical"):
-        return load_uci(fmt, args.data)
+    if args.format not in ("auto", "binary", "categorical"):
+        return load_uci(args.format, args.data)
     label = _parse_label_column(args.label_column)
-    if args.schema or fmt == "categorical":
+    if args.schema or args.format == "categorical":
         if not args.schema:
             raise DataFormatError("categorical format requires --schema")
         schema = parse_schema_file(args.schema)
@@ -84,6 +83,15 @@ def _parse_int_list(spec: str) -> list[int]:
     if not out:
         raise ValueError(f"empty integer list {spec!r}")
     return out
+
+
+@contextmanager
+def _output(flag: str, path):
+    """`path` as a Path; failing to create or open it is a config error (exit 1)."""
+    try:
+        yield Path(path)
+    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -139,8 +147,8 @@ def _scores(truth, labels) -> dict:
 
 def cmd_cluster(args) -> int:
     data = _load_dataset(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _output("--out-dir", args.out_dir) as out:
+        out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     truth = _truth_codes(data)
     if args.algo == "binnnms":
@@ -244,8 +252,8 @@ def cmd_sweep(args) -> int:
     data = _load_dataset(args)
     k1_list = _parse_int_list(args.k1)
     k2_list = _parse_int_list(args.k2)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _output("--out-dir", args.out_dir) as out:
+        out.mkdir(parents=True, exist_ok=True)
     truth = _truth_codes(data)
     rows, trajectories = [], {}
     for k1 in k1_list:
@@ -299,11 +307,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    schema = parse_schema_file(args.schema)
-    ds = load_categorical_csv(args.data, schema, delimiter=args.delimiter,
-                              header=args.header,
-                              label_column=_parse_label_column(args.label_column))
-    write_binary_csv(ds, args.out)
+    ds = _load_dataset(args)  # the encode parser sets format "categorical"
+    with _output("--out", args.out) as out:
+        write_binary_csv(ds, out)
     print(f"encoded {ds.n} rows x {ds.d} bits -> {args.out}")
     return EXIT_OK
 
@@ -316,10 +322,9 @@ def cmd_summary(args) -> int:
 
 # --- entry point ------------------------------------------------------------
 
-def _add_data_opts(p, schema_required=False):
+def _add_data_opts(p):
     p.add_argument("--data", required=True, help="input data file")
-    p.add_argument("--schema", required=schema_required,
-                   help="feature schema file (categorical input)")
+    p.add_argument("--schema", help="feature schema file (categorical input)")
     p.add_argument("--format", default="auto",
                    choices=["auto", "binary", "categorical", "zoo", "digits",
                             "spect", "soybean", "car"],
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--label-column", default=None)
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_encode, format="categorical")
 
     p = sub.add_parser("summary", help="dataset sizes and class histogram")
     _add_data_opts(p)
@@ -388,7 +393,7 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, DimensionMismatch) as exc:
+    except ValueError as exc:  # DimensionMismatch is one too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

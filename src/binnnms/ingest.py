@@ -21,7 +21,7 @@ from .binvec import (
     Feature,
     FeatureSchema,
     bit_matrix,
-    encode_categorical,
+    codewords,
     pack_bits,
 )
 
@@ -74,11 +74,11 @@ class Dataset:
 # --- delimited text ---------------------------------------------------------
 
 def _read_input(path) -> bytes:
-    """The bytes of an input file. A path that names no readable file (a
-    directory, or no read permission) is a DataFormatError naming it."""
+    """The bytes of an input file. A path that names a directory, lies under
+    a file or lacks read permission is a DataFormatError naming it."""
     try:
         return Path(path).read_bytes()
-    except (IsADirectoryError, PermissionError) as exc:
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise DataFormatError(f"{path}: cannot read the input: {exc.strerror}") from None
 
 
@@ -244,49 +244,49 @@ def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
 def encode_rows(rows: list[list[str]], schema: FeatureSchema) -> tuple[np.ndarray, int]:
     """Encode rows of categorical cells per the schema, in memory, as
     (bits, number of missing cells); see `load_categorical_csv`."""
-    nfeat = len(schema.features)
+    feats = schema.features
+    nfeat = len(feats)
     if len(rows[0]) != nfeat:
         raise DataFormatError(
             f"rows have {len(rows[0])} cells but schema declares {nfeat} features")
-    bits = np.zeros((len(rows), schema.encoded_dim), dtype=np.uint8)
-    missing = 0
+    index = []
     for r, row in enumerate(rows):
         if len(row) != nfeat:
             raise DataFormatError(
                 f"row {r}: ragged row ({len(row)} cells, expected {nfeat})")
-        col = 0
-        for c, feat in enumerate(schema.features):
-            cell = row[c]
-            if cell == "?":
-                missing += 1  # all-zero block
-            elif feat.kind == "binary":
-                if cell not in ("0", "1"):
-                    raise DataFormatError(
-                        f"row {r}, column {c} ({feat.name}): non-binary cell {cell!r}")
-                bits[r, col] = int(cell)
-            else:
-                level = _resolve_level(cell, feat, r, c)
-                block = encode_categorical(level, feat.levels, feat.coding)
-                bits[r, col:col + feat.levels] = block.bits
-            col += feat.width
-    return bits, missing
+        index.append([_codeword_row(cell, feat, r, c)
+                      for c, (cell, feat) in enumerate(zip(row, feats))])
+    index = np.array(index, dtype=np.intp)
+    bits = np.empty((len(rows), schema.encoded_dim), dtype=np.uint8)
+    col = 0
+    for c, feat in enumerate(feats):
+        # a binary cell's row is its bit; `?` takes row -1, an appended zero row
+        words = (np.arange(2)[:, None] if feat.kind == "binary"
+                 else codewords(feat.levels, feat.coding))
+        bits[:, col:col + feat.width] = np.pad(words, ((0, 1), (0, 0)))[index[:, c]]
+        col += feat.width
+    return bits, int((index < 0).sum())
 
 
-def _resolve_level(cell: str, feat: Feature, r: int, c: int) -> int:
-    if feat.vocab is not None:
-        if cell not in feat.vocab:
+def _codeword_row(cell: str, feat: Feature, r: int, c: int) -> int:
+    """The row of `feat`'s codeword matrix that codes `cell` (row r, column
+    c): -1 for a missing `?`, the bit of a binary cell, a level less one."""
+    if cell == "?":
+        return -1
+    if feat.kind == "binary":
+        if cell not in ("0", "1"):
             raise DataFormatError(
-                f"row {r}, column {c} ({feat.name}): unknown level {cell!r}")
-        return feat.vocab.index(cell) + 1
-    try:
-        level = int(cell)
+                f"row {r}, column {c} ({feat.name}): non-binary cell {cell!r}")
+        return int(cell)
+    try:  # tuple.index and int both raise ValueError
+        level = feat.vocab.index(cell) + 1 if feat.vocab is not None else int(cell)
     except ValueError:
         raise DataFormatError(
             f"row {r}, column {c} ({feat.name}): unknown level {cell!r}") from None
     if not 1 <= level <= feat.levels:
         raise DataFormatError(
             f"row {r}, column {c} ({feat.name}): level {level} out of [1, {feat.levels}]")
-    return level
+    return level - 1
 
 
 def categorical_feature(name: str, coding: str, levels_or_vocab) -> Feature:
@@ -312,29 +312,28 @@ def parse_schema_file(path) -> FeatureSchema:
         if not line:
             continue
         parts = line.split()
-        if len(parts) == 2 and parts[1] == "binary":
-            feats.append(Feature(parts[0], "binary"))
-        elif len(parts) == 4 and parts[1] == "categorical":
-            name, _, coding, spec = parts
-            if "," in spec or not spec.isdigit():
-                feats.append(categorical_feature(name, coding, spec.split(",")))
+        try:
+            if len(parts) == 2 and parts[1] == "binary":
+                feats.append(Feature(parts[0], "binary"))
+            elif len(parts) == 4 and parts[1] == "categorical":
+                name, _, coding, spec = parts
+                levels = spec.split(",") if "," in spec or not spec.isdigit() else int(spec)
+                feats.append(categorical_feature(name, coding, levels))
             else:
-                feats.append(categorical_feature(name, coding, int(spec)))
-        else:
-            raise DataFormatError(f"{path}:{lineno}: cannot parse schema line {line!r}")
+                raise ValueError(f"cannot parse schema line {line!r}")
+        except ValueError as exc:  # a bad line, or a Feature that rejects it
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     if not feats:
         raise DataFormatError(f"{path}: schema declares no features")
     return FeatureSchema(tuple(feats))
 
 
 def write_binary_csv(ds: Dataset, path) -> None:
+    rows = ds.bits.tolist()
+    if ds.truth_labels is not None:
+        rows = [row + [str(label)] for row, label in zip(rows, ds.truth_labels)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(ds.n):
-            row = [str(b) for b in ds.bits[i]]
-            if ds.truth_labels is not None:
-                row.append(str(ds.truth_labels[i]))
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def dataset_summary(ds: Dataset) -> dict:
@@ -370,13 +369,9 @@ SOYBEAN_KEEP_CLASSES = 15
 
 
 def zoo_schema() -> FeatureSchema:
-    feats = []
-    for fname in ZOO_FEATURES:
-        if fname == "legs":
-            feats.append(categorical_feature("legs", "disjunctive", ZOO_LEGS_VALUES))
-        else:
-            feats.append(Feature(fname, "binary"))
-    return FeatureSchema(tuple(feats))
+    return FeatureSchema(tuple(
+        categorical_feature(fname, "disjunctive", ZOO_LEGS_VALUES) if fname == "legs"
+        else Feature(fname, "binary") for fname in ZOO_FEATURES))
 
 
 def car_schema() -> FeatureSchema:

@@ -247,3 +247,67 @@ def binary_csv_ref(path, delimiter=None, header=False, label_column=None,
     text = "".join(chain.from_iterable(rows)).encode("ascii")
     bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
     return bits.reshape(len(rows), len(rows[0])), labels, name or Path(path).stem
+
+
+def codeword_ref(level, levels, coding):
+    """The bits of a 1-based categorical level: one-hot (disjunctive) or its
+    first `level` bits set (additive)."""
+    if coding == "disjunctive":
+        return [int(j == level - 1) for j in range(levels)]
+    return [int(j < level) for j in range(levels)]
+
+
+def decode_ref(bits, levels, coding):
+    """(level, exact): the level whose codeword is nearest to `bits`, the
+    lowest on a tie, found by trying every level."""
+    level = min(range(1, levels + 1),
+                key=lambda lv: (hamming_ref(bits, codeword_ref(lv, levels, coding)), lv))
+    return level, hamming_ref(bits, codeword_ref(level, levels, coding)) == 0
+
+
+def encode_rows_ref(rows, schema):
+    """(bits as lists, missing count) of rows of categorical cells, encoded one
+    cell at a time: `?` is an all-zero block and counts as missing, a binary
+    cell is its bit, and a categorical cell names a level by its vocabulary
+    position or, without a vocabulary, as an integer in [1, levels].
+
+    Raises `DataFormatError` with the library's message at the first bad cell
+    or ragged row, in row-major order.
+    """
+    from binnnms.ingest import DataFormatError
+
+    feats = schema.features
+    if len(rows[0]) != len(feats):
+        raise DataFormatError(
+            f"rows have {len(rows[0])} cells but schema declares {len(feats)} features")
+    out, missing = [], 0
+    for r, row in enumerate(rows):
+        if len(row) != len(feats):
+            raise DataFormatError(
+                f"row {r}: ragged row ({len(row)} cells, expected {len(feats)})")
+        bits = []
+        for c, (cell, feat) in enumerate(zip(row, feats)):
+            where = f"row {r}, column {c} ({feat.name})"
+            if cell == "?":
+                missing += 1
+                bits += [0] * feat.width
+            elif feat.kind == "binary":
+                if cell not in ("0", "1"):
+                    raise DataFormatError(f"{where}: non-binary cell {cell!r}")
+                bits.append(int(cell))
+            else:
+                if feat.vocab is not None:
+                    if cell not in feat.vocab:
+                        raise DataFormatError(f"{where}: unknown level {cell!r}")
+                    level = feat.vocab.index(cell) + 1
+                else:
+                    try:
+                        level = int(cell)
+                    except ValueError:
+                        raise DataFormatError(f"{where}: unknown level {cell!r}") from None
+                    if not 1 <= level <= feat.levels:
+                        raise DataFormatError(
+                            f"{where}: level {level} out of [1, {feat.levels}]")
+                bits += codeword_ref(level, feat.levels, feat.coding)
+        out.append(bits)
+    return out, missing

@@ -13,7 +13,15 @@ import pytest
 
 from binnnms.bga import ascend_bits
 from binnnms.binvec import BinaryVector
-from binnnms.ingest import CAR_VOCABS, Dataset, car_schema, encode_rows, load_uci
+from binnnms.ingest import (
+    CAR_VOCABS,
+    ZOO_FEATURES,
+    ZOO_LEGS_VALUES,
+    Dataset,
+    car_schema,
+    encode_rows,
+    load_uci,
+)
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
 from binnnms.kmodes import kmodes_repeated, kmodes_run
 from binnnms.knn import knn_query
@@ -265,3 +273,52 @@ def test_c12_zoo_error_trajectories():
         assert rows[-1]["error_vs_target"] <= rows[0]["error_vs_target"]
         assert rows[-1]["error_vs_intermediate"] <= rows[0]["error_vs_intermediate"]
     report("criterion 12: zoo error trajectories decrease final vs initial")
+
+
+# --- the helpers of criteria 8-12, offline ------------------------------------
+
+def _raw_uci_lines(name: str, rng) -> list[str]:
+    """Eight lines of a made-up raw file in the layout of UCI `name`."""
+    def pick(values):
+        return str(values[int(rng.integers(len(values)))])
+
+    lines = []
+    for i in range(8):
+        label = f"c{i % 3}"
+        if name == "zoo":
+            feats = [pick(ZOO_LEGS_VALUES) if f == "legs" else pick("01")
+                     for f in ZOO_FEATURES]
+            lines.append(",".join([f"animal{i}", *feats, str(i % 3 + 1)]))
+        elif name == "digits":
+            lines.append(" ".join(pick(range(7)) for _ in range(240)))
+        elif name == "spect":
+            lines.append(",".join([pick("01")] + [pick("01") for _ in range(22)]))
+        elif name == "soybean":
+            lines.append(",".join([label] + [pick(["0", "1", "2", "?"]) for _ in range(35)]))
+        else:  # car
+            lines.append(",".join([pick(v) for v in CAR_VOCABS.values()] + [label]))
+    return lines
+
+
+@pytest.mark.parametrize("name", ["zoo", "digits", "spect", "soybean", "car"])
+def test_uci_helpers_run_offline(tmp_path, name):
+    """Criteria 8-12 skip without data/raw/, so a changed helper signature
+    would go unnoticed there: run each helper they call once, on a tiny
+    made-up file in each UCI layout. No quality number is checked."""
+    raw = tmp_path / f"{name}.data"
+    raw.write_text("\n".join(_raw_uci_lines(name, np.random.default_rng(0))) + "\n")
+    data = load_uci(name, raw)
+    assert data.n == 8 and len(data.truth_labels) == 8
+
+    s_nmi, s_ar, lab = _binnnms_scores(data, 3, 2)  # C8, C10, C11
+    assert len(lab.labels) == data.n and isinstance(lab.single_cluster, bool)
+    assert np.isfinite([s_nmi, s_ar]).all()
+
+    runs = kmodes_repeated(data, 2, runs=2, base_seed=0)  # C9
+    assert np.isfinite([nmi(data.truth_labels, list(r.labels)) for r in runs]).all()
+
+    from binnnms.cli import _trajectory_errors  # C12
+
+    ascent = ascend_bits(data, data.bits, 3)
+    rows = _trajectory_errors(data, label_codes(data.truth_labels)[0], ascent.rounds)
+    assert len(rows) == len(ascent.rounds) + 1

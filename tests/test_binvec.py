@@ -17,7 +17,7 @@ from binnnms.binvec import (
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_run
 from binnnms.labeling import label_bits
-from oracles import hamming_ref, knn_ref
+from oracles import decode_ref, hamming_ref, knn_ref
 
 bitlists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
 
@@ -292,6 +292,27 @@ class TestCoding:
         out = decode_categorical(bv("011"), 3, "disjunctive")
         assert out.level == 2
         assert not out.exact
+
+    @given(st.integers(1, 8), st.sampled_from(["additive", "disjunctive"]),
+           st.data())
+    def test_decode_matches_every_level_tried(self, levels, coding, data):
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=levels,
+                                  max_size=levels))
+        out = decode_categorical(BinaryVector(bits), levels, coding)
+        assert (out.level, out.exact) == decode_ref(bits, levels, coding)
+        assert type(out.level) is int and type(out.exact) is bool
+
+    def test_errors_in_order(self):
+        # the coding first, then the level (even against negative levels)
+        with pytest.raises(ValueError, match="unknown coding 'foo'"):
+            encode_categorical(0, -1, "foo")
+        with pytest.raises(ValueError, match=r"level 1 out of range \[1, -1\]"):
+            encode_categorical(1, -1, "disjunctive")
+        # the width first, then the coding
+        with pytest.raises(DimensionMismatch):
+            decode_categorical(bv("01"), 3, "foo")
+        with pytest.raises(ValueError, match="unknown coding 'foo'"):
+            decode_categorical(bv("01"), 2, "foo")
 
     @given(st.integers(1, 8), st.data(),
            st.sampled_from(["additive", "disjunctive"]))

@@ -13,7 +13,6 @@ from binnnms.binvec import BinaryVector
 from binnnms.cli import (
     EXIT_DATA,
     EXIT_OK,
-    EXIT_RUNTIME,
     EXIT_USAGE,
     _trajectory_errors,
     _write_labels,
@@ -359,6 +358,18 @@ class TestEncode:
         assert rc == EXIT_DATA
 
 
+    def test_rejected_schema_line_is_data_error(self, tmp_path, capsys):
+        # it exited 1 as a config error that named no file or line
+        schema = tmp_path / "s.schema"
+        schema.write_text("c categorical foo a,b\n")
+        data = tmp_path / "d.csv"
+        data.write_text("a\n")
+        rc = main(["encode", "--data", str(data), "--schema", str(schema),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_DATA
+        assert f"data error: {schema}:1: unknown coding 'foo'" in capsys.readouterr().err
+
+
 class TestSummary:
     def test_json_output(self, two_blobs, capsys):
         rc = main(["summary", "--data", str(two_blobs), "--label-column", "-1"])
@@ -409,8 +420,7 @@ class TestLabelOnlyFile:
 
 
 class TestUnreadableInput:
-    """An input path that names no readable file is a data error, exit 2;
-    an output directory that cannot be made stays a runtime failure."""
+    """An input path that names no readable file is a data error, exit 2."""
 
     @pytest.mark.parametrize("flag", ["--data", "--schema"])
     def test_directory_as_cluster_input(self, toy, tmp_path, capsys, flag):
@@ -442,12 +452,51 @@ class TestUnreadableInput:
         assert main(["summary", "--data", str(toy)]) == EXIT_DATA
         assert "Permission denied" in capsys.readouterr().err
 
-    def test_out_dir_over_a_file_stays_runtime(self, toy, tmp_path):
+    def test_path_under_a_file_is_data_error(self, toy, capsys):
+        # "Not a directory" exited 3 as a runtime failure
+        assert main(["summary", "--data", str(toy / "x")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and str(toy / "x") in err
+
+
+class TestOutputPaths:
+    """An output path that cannot be created or opened is a config error,
+    exit 1, that names the flag and the path; each exited 3 as a runtime
+    failure with only the OS error."""
+
+    @staticmethod
+    def run(command, data, out_dir):
+        grid = ["--k2", "1"] if command == "sweep" else []
+        return main([command, "--data", str(data), "--k1", "1", *grid,
+                     "--out-dir", str(out_dir)])
+
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    def test_out_dir_names_a_file(self, toy, tmp_path, capsys, command):
         blocker = tmp_path / "o"
         blocker.write_text("")
-        rc = main(["cluster", "--data", str(toy), "--k1", "1",
-                   "--out-dir", str(blocker)])
-        assert rc == EXIT_RUNTIME
+        assert self.run(command, toy, blocker) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: --out-dir {blocker}: File exists" in err
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    def test_out_dir_under_a_file(self, toy, tmp_path, capsys, command):
+        blocker = tmp_path / "o"
+        blocker.write_text("")
+        assert self.run(command, toy, blocker / "sub") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: --out-dir {blocker / 'sub'}: Not a directory" in err
+
+    def test_encode_out_names_a_directory(self, tmp_path, capsys):
+        schema = tmp_path / "s.schema"
+        schema.write_text("c categorical disjunctive 3\n")
+        data = tmp_path / "d.csv"
+        data.write_text("1\n")
+        rc = main(["encode", "--data", str(data), "--schema", str(schema),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: --out {tmp_path}: Is a directory" in err
 
 
 class TestEntryPoint:

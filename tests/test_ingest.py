@@ -1,12 +1,23 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binnnms import ingest
-from binnnms.binvec import Feature, FeatureSchema, pack_bits
+from binnnms.binvec import (
+    CODINGS,
+    BinaryVector,
+    Feature,
+    FeatureSchema,
+    encode_categorical,
+    pack_bits,
+)
 from binnnms.ingest import (
+    CAR_VOCABS,
     DataFormatError,
     Dataset,
+    car_schema,
     categorical_feature,
     dataset_summary,
     encode_rows,
@@ -21,7 +32,7 @@ from binnnms.ingest import (
     zoo_schema,
 )
 from conftest import perfbench_workloads
-from oracles import binary_csv_ref
+from oracles import binary_csv_ref, encode_rows_ref
 
 
 class TestDataset:
@@ -143,6 +154,15 @@ class TestBinaryCsv:
         again = load_binary_csv(out, label_column=-1)
         assert np.array_equal(ds.bits, again.bits)
         assert ds.truth_labels == again.truth_labels
+
+    def test_writer_bytes(self, tmp_path):
+        # the csv module's default "\r\n" line ends; labels go through str
+        out = tmp_path / "b.csv"
+        bits = np.array([[0, 1, 1], [1, 0, 0]])
+        write_binary_csv(Dataset(bits, truth_labels=["x,y", 3]), out)
+        assert out.read_bytes() == b'0,1,1,"x,y"\r\n1,0,0,3\r\n'
+        write_binary_csv(Dataset(bits), out)
+        assert out.read_bytes() == b"0,1,1\r\n1,0,0\r\n"
 
 
 @st.composite
@@ -383,6 +403,82 @@ class TestEncodeRows:
             encode_rows(rows, zoo_schema())
 
 
+# cells no feature below names: a leading zero, a sign, out-of-range and
+# negative levels, a digit separator, an unknown word, an empty cell
+ODD_CELLS = ["01", "+2", "0", "9", "-1", "1_0", "zz", ""]
+
+
+@st.composite
+def coded_rows(draw):
+    """(rows, schema): binary, vocabulary and level-count features in both
+    codings, and rows whose cells are mostly the feature's own names, with
+    `?`, odd cells and now and then a ragged row."""
+    feats, pools = [], []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["binary", "levels", "vocab"]))
+        coding = draw(st.sampled_from(CODINGS))
+        if kind == "binary":
+            feats.append(Feature(f"f{i}", "binary"))
+            names = ["0", "1"]
+        elif kind == "levels":
+            levels = draw(st.integers(1, 4))
+            feats.append(categorical_feature(f"f{i}", coding, levels))
+            names = [str(level) for level in range(1, levels + 1)]
+        else:
+            names = draw(st.lists(st.sampled_from(["a", "b", "c", "2", "10"]),
+                                  min_size=1, max_size=4, unique=True))
+            feats.append(categorical_feature(f"f{i}", coding, names))
+        pools.append(names * 4 + ["?"] + ODD_CELLS)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = [draw(st.sampled_from(pool)) for pool in pools]
+        ragged = draw(st.sampled_from([0] * 10 + [-1, 1]))
+        rows.append(row[:-1] if ragged < 0 else row + ["1"] * ragged)
+    return rows, FeatureSchema(tuple(feats))
+
+
+class TestCodewordEncoding:
+    @given(coded_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_cell_reference(self, case):
+        rows, schema = case
+        try:
+            want_bits, want_missing = encode_rows_ref(rows, schema)
+        except DataFormatError as want:
+            with pytest.raises(DataFormatError) as got:
+                encode_rows(rows, schema)
+            assert str(got.value) == str(want)
+            return
+        bits, missing = encode_rows(rows, schema)
+        assert bits.dtype == np.uint8
+        assert bits.shape == (len(rows), schema.encoded_dim)
+        assert bits.tolist() == want_bits and missing == want_missing
+
+    def test_no_features_give_an_empty_row(self):
+        bits, missing = encode_rows([[], [], []], FeatureSchema(()))
+        assert bits.shape == (3, 0) and bits.dtype == np.uint8 and missing == 0
+
+    def test_categorical_load_builds_no_binary_vector(self, tmp_path, monkeypatch):
+        # the car factorial, one cell missing: each cell built a vector once
+        rows = [list(row) for row in product(*CAR_VOCABS.values())]
+        rows[5][2] = "?"
+        f = tmp_path / "car.csv"
+        f.write_text("".join(",".join(row) + ",c\n" for row in rows))
+        calls = []
+        real = BinaryVector.__init__
+
+        def count(self, bits):
+            calls.append(1)
+            real(self, bits)
+
+        monkeypatch.setattr(BinaryVector, "__init__", count)
+        ds = load_categorical_csv(f, car_schema(), label_column=-1)
+        assert calls == []
+        assert (ds.n, ds.d, ds.missing_cells) == (1728, 21, 1)
+        encode_categorical(1, 2, "additive")
+        assert calls == [1]  # the count sees a vector when one is built
+
+
 class TestSoybean:
     def test_bits_labels_and_missing(self, tmp_path):
         # arities 2, 3 and 1 from the observed 0-based codes; '?' is all-zero
@@ -423,6 +519,26 @@ class TestSchemaFile:
         with pytest.raises(DataFormatError):
             parse_schema_file(f)
 
+    @pytest.mark.parametrize("line, message", [
+        ("x categorical disjunctive 0", "categorical feature needs levels >= 1"),
+        ("x categorical foo a,b", "unknown coding 'foo'"),
+        ("x categorical additive a,a,b", "vocab repeats a level: a,a,b"),
+    ], ids=["no-levels", "unknown-coding", "repeated-level"])
+    def test_rejected_feature_at_path_line(self, tmp_path, line, message):
+        # the first two raised from Feature with no file or line
+        f = tmp_path / "s.schema"
+        f.write_text(f"hair binary\n{line}\n")
+        with pytest.raises(DataFormatError) as exc:
+            parse_schema_file(f)
+        assert str(exc.value) == f"{f}:2: {message}"
+
+    def test_repeated_vocab_level_rejected(self):
+        # `a,a,b` left a column that no cell could set
+        with pytest.raises(ValueError, match="vocab repeats a level: a,a,b"):
+            categorical_feature("x", "disjunctive", ["a", "a", "b"])
+        with pytest.raises(ValueError, match="vocab repeats"):
+            Feature("x", "categorical", 2, "additive", ("1", "1"))
+
     def test_non_utf8_is_data_error(self, tmp_path):
         f = tmp_path / "s.schema"
         f.write_bytes(b"hair binary\n\xff binary\n")
@@ -435,8 +551,6 @@ class TestSchemaFile:
 
     def test_shipped_schemas_parse(self):
         from pathlib import Path
-
-        from binnnms.ingest import car_schema
 
         schemas = Path(__file__).resolve().parent.parent / "data" / "schemas"
         assert parse_schema_file(schemas / "zoo.schema") == zoo_schema()
