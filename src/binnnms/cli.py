@@ -18,6 +18,7 @@ import numpy as np
 
 from .bga import DEFAULT_J_MAX, ascend_bits
 from .ingest import (
+    UCI_LOADERS,
     DataFormatError,
     Dataset,
     _decode,
@@ -57,7 +58,13 @@ def _parse_label_column(value):
 
 
 def _load_dataset(args) -> Dataset:
-    if args.format not in ("auto", "binary", "categorical"):
+    if args.format in UCI_LOADERS:  # a fixed layout: no option may reshape it
+        for flag, given in (("--schema", args.schema is not None),
+                            ("--delimiter", args.delimiter is not None),
+                            ("--header", args.header),
+                            ("--label-column", args.label_column is not None)):
+            if given:
+                raise ValueError(f"{flag} does not apply to --format {args.format}")
         return load_uci(args.format, args.data)
     label = _parse_label_column(args.label_column)
     if args.schema or args.format == "categorical":
@@ -326,8 +333,7 @@ def _add_data_opts(p):
     p.add_argument("--data", required=True, help="input data file")
     p.add_argument("--schema", help="feature schema file (categorical input)")
     p.add_argument("--format", default="auto",
-                   choices=["auto", "binary", "categorical", "zoo", "digits",
-                            "spect", "soybean", "car"],
+                   choices=["auto", "binary", "categorical", *UCI_LOADERS],
                    help="input format; dataset names select raw UCI adapters")
     p.add_argument("--delimiter", default=None)
     p.add_argument("--header", action="store_true")

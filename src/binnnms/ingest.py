@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -27,7 +28,7 @@ from .binvec import (
 
 
 class DataFormatError(ValueError):
-    """Raised for malformed input files; message carries row/column position."""
+    """Malformed input; a file's error names it, and `_at` places a row or cell."""
 
 
 @dataclass(eq=False)
@@ -91,13 +92,22 @@ def _decode(raw: bytes, path) -> str:
         raise DataFormatError(f"{path}: cannot decode the file as text: {exc}") from None
 
 
-def _read_rows(path, delimiter=None, raw: bytes | None = None) -> list[list[str]]:
-    """Nonblank lines as lists of stripped cells. `raw` is the file's bytes
-    when the caller has already read them."""
-    if raw is None:
-        raw = _read_input(path)
+def _at(path, r, c=None) -> str:
+    """Where a data error lies in a file: `path: row r, column c`. r counts
+    the file's data rows (nonblank lines after any header) from 0, and c the
+    raw row's cells from 0, label and skipped cells included."""
+    return f"{path}: row {r}" if c is None else f"{path}: row {r}, column {c}"
+
+
+def _read_rows(path, delimiter=None, header=False, label_column=None,
+               width=None, raw: bytes | None = None):
+    """(rows, labels, columns): a file's data rows as lists of stripped cells
+    less the label cell, the labels (None without a label column), and each
+    remaining cell's raw column. Every row must have `width` cells, by
+    default as many as the first. `raw` is the bytes, if already read."""
+    text = _decode(_read_input(path) if raw is None else raw, path)
     rows = []
-    for line in _decode(raw, path).splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -111,42 +121,45 @@ def _read_rows(path, delimiter=None, raw: bytes | None = None) -> list[list[str]
         rows.append(cells)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    return rows
-
-
-def _split_label(rows, header, label_column):
-    """Resolve the label column (by name or index) and strip it from rows."""
-    names = None
-    if header:
-        names = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise DataFormatError("no data rows after header")
-    idx = None
-    if label_column is not None:
-        if isinstance(label_column, int):
-            idx = label_column
-        elif names is not None and label_column in names:
-            idx = names.index(label_column)
-        else:
-            raise DataFormatError(f"label column {label_column!r} not found in header")
-    width = len(rows[0])
+    names = rows.pop(0) if header else None
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows after header")
+    idx = label_column  # an index, or a name the header must hold
+    if idx is not None and not isinstance(idx, int):
+        if names is None or idx not in names:
+            raise DataFormatError(f"{path}: label column {idx!r} not found in header")
+        idx = names.index(idx)
+    if width is None:
+        width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise DataFormatError(f"row {r}: ragged row ({len(row)} cells, expected {width})")
-    labels = None
-    if idx is not None:
-        if not -width <= idx < width:
             raise DataFormatError(
-                f"label column {idx} out of range for rows of {width} cells")
-        if width == 1:
-            raise DataFormatError(
-                f"label column {idx} is the only column; no data cells remain")
-        if idx < 0:
-            idx += width
-        labels = [row[idx] for row in rows]
-        rows = [row[:idx] + row[idx + 1:] for row in rows]
-    return rows, labels
+                f"{_at(path, r)}: ragged row ({len(row)} cells, expected {width})")
+    columns = list(range(width))
+    if idx is None:
+        return rows, None, columns
+    if not -width <= idx < width:
+        raise DataFormatError(
+            f"{path}: label column {idx} out of range for rows of {width} cells")
+    if width == 1:
+        raise DataFormatError(
+            f"{path}: label column {idx} is the only column; no data cells remain")
+    idx %= width
+    del columns[idx]
+    return rows, [row.pop(idx) for row in rows], columns
+
+
+def _bits(path, rows, columns, allowed: set, what: str) -> np.ndarray:
+    """The bits of rows whose every cell is one of the one-character strings
+    `allowed`, "0" giving 0 and the others 1; the first other cell,
+    row-major, is a DataFormatError `what` at its place in the file."""
+    if not set(chain.from_iterable(rows)) <= allowed:
+        r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
+                          for c, cell in zip(columns, row) if cell not in allowed)
+        raise DataFormatError(f"{_at(path, r, c)}: {what} {cell!r}")
+    # every cell is exactly one character, so the joined text is the matrix
+    text = "".join(chain.from_iterable(rows)).encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(rows), len(columns)) != ord("0")
 
 
 # Bytes a plain file may hold: printable ASCII other than space, and "\n".
@@ -216,15 +229,8 @@ def load_binary_csv(path, delimiter=None, header=False, label_column=None,
     if plain is not None:
         bits, labels = plain
     else:
-        rows, labels = _split_label(_read_rows(path, delimiter, raw), header, label_column)
-        if not set(chain.from_iterable(rows)) <= {"0", "1"}:
-            r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
-                              for c, cell in enumerate(row) if cell not in ("0", "1"))
-            raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
-        # every cell is exactly one character, so the joined text is the matrix
-        text = "".join(chain.from_iterable(rows)).encode("ascii")
-        bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
-        bits = bits.reshape(len(rows), len(rows[0]))
+        rows, labels, columns = _read_rows(path, delimiter, header, label_column, raw=raw)
+        bits = _bits(path, rows, columns, {"0", "1"}, "non-binary cell")
     return Dataset(bits, name=name or Path(path).stem, truth_labels=labels)
 
 
@@ -235,8 +241,9 @@ def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
     Missing cells (`?`) encode as an all-zero block, so they mismatch every
     concrete level equally under the Hamming distance.
     """
-    rows, labels = _split_label(_read_rows(path, delimiter), header, label_column)
-    bits, missing = encode_rows(rows, schema)
+    rows, labels, columns = _read_rows(path, delimiter, header, label_column,
+                                       len(schema.features) + (label_column is not None))
+    bits, missing = _encode(rows, schema, lambda r, c: _at(path, r, columns[c]))
     return Dataset(bits, name=name or Path(path).stem, truth_labels=labels,
                    missing_cells=missing)
 
@@ -244,6 +251,11 @@ def load_categorical_csv(path, schema: FeatureSchema, delimiter=None,
 def encode_rows(rows: list[list[str]], schema: FeatureSchema) -> tuple[np.ndarray, int]:
     """Encode rows of categorical cells per the schema, in memory, as
     (bits, number of missing cells); see `load_categorical_csv`."""
+    return _encode(rows, schema, lambda r, c: f"row {r}, column {c}")
+
+
+def _encode(rows, schema: FeatureSchema, where) -> tuple[np.ndarray, int]:
+    """`encode_rows`, placing a bad cell's error by `where(r, c)`."""
     feats = schema.features
     nfeat = len(feats)
     if len(rows[0]) != nfeat:
@@ -254,7 +266,7 @@ def encode_rows(rows: list[list[str]], schema: FeatureSchema) -> tuple[np.ndarra
         if len(row) != nfeat:
             raise DataFormatError(
                 f"row {r}: ragged row ({len(row)} cells, expected {nfeat})")
-        index.append([_codeword_row(cell, feat, r, c)
+        index.append([_codeword_row(cell, feat, r, c, where)
                       for c, (cell, feat) in enumerate(zip(row, feats))])
     index = np.array(index, dtype=np.intp)
     bits = np.empty((len(rows), schema.encoded_dim), dtype=np.uint8)
@@ -268,24 +280,24 @@ def encode_rows(rows: list[list[str]], schema: FeatureSchema) -> tuple[np.ndarra
     return bits, int((index < 0).sum())
 
 
-def _codeword_row(cell: str, feat: Feature, r: int, c: int) -> int:
-    """The row of `feat`'s codeword matrix that codes `cell` (row r, column
-    c): -1 for a missing `?`, the bit of a binary cell, a level less one."""
+def _codeword_row(cell: str, feat: Feature, r: int, c: int, where) -> int:
+    """The row of `feat`'s codeword matrix that codes `cell`, placed by
+    `where(r, c)`: -1 for a missing `?`, a binary cell's bit, a level less one."""
     if cell == "?":
         return -1
     if feat.kind == "binary":
         if cell not in ("0", "1"):
             raise DataFormatError(
-                f"row {r}, column {c} ({feat.name}): non-binary cell {cell!r}")
+                f"{where(r, c)} ({feat.name}): non-binary cell {cell!r}")
         return int(cell)
     try:  # tuple.index and int both raise ValueError
         level = feat.vocab.index(cell) + 1 if feat.vocab is not None else int(cell)
     except ValueError:
         raise DataFormatError(
-            f"row {r}, column {c} ({feat.name}): unknown level {cell!r}") from None
+            f"{where(r, c)} ({feat.name}): unknown level {cell!r}") from None
     if not 1 <= level <= feat.levels:
         raise DataFormatError(
-            f"row {r}, column {c} ({feat.name}): level {level} out of [1, {feat.levels}]")
+            f"{where(r, c)} ({feat.name}): level {level} out of [1, {feat.levels}]")
     return level - 1
 
 
@@ -366,6 +378,7 @@ CAR_VOCABS = {
 }
 
 SOYBEAN_KEEP_CLASSES = 15
+_SOYBEAN_CODE = re.compile(r"\?|0|[1-9][0-9]*")
 
 
 def zoo_schema() -> FeatureSchema:
@@ -382,28 +395,20 @@ def car_schema() -> FeatureSchema:
 
 def load_zoo(path) -> Dataset:
     """zoo.data: animal name, 16 features (legs is 6-valued), class 1-7."""
-    rows = _read_rows(path, ",")
-    # drop the animal name and the class
-    bits, missing = encode_rows([row[1:-1] for row in rows], zoo_schema())
-    return Dataset(bits, name="zoo", truth_labels=[row[-1] for row in rows],
-                   missing_cells=missing)
+    rows, labels, columns = _read_rows(path, ",", label_column=-1, width=18)
+    bits, missing = _encode([row[1:] for row in rows], zoo_schema(),
+                            lambda r, c: _at(path, r, columns[c + 1]))
+    return Dataset(bits, name="zoo", truth_labels=labels, missing_cells=missing)
 
 
 def load_digits(path) -> Dataset:
-    """mfeat-pix: 2000 rows of 240 grayscale counts (0-6), 200 per digit.
-
-    Pixels binarize as value >= 1; labels follow the fixed row blocks
-    (digit = row // 200).
-    """
-    try:
-        raw = np.loadtxt(path)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    if raw.ndim != 2 or raw.shape[1] != 240:
-        raise DataFormatError(f"{path}: expected 240 columns, got {raw.shape}")
-    bits = (raw >= 1).astype(np.uint8)
-    labels = [str(i // 200) for i in range(raw.shape[0])]
-    return Dataset(bits, name="digits", truth_labels=labels)
+    """mfeat-pix: 2000 rows of 240 grayscale counts, 200 per digit. Each
+    pixel must be an integer 0-6, one digit, and binarizes as pixel != 0;
+    labels follow the fixed row blocks (digit = row // 200)."""
+    rows, _, columns = _read_rows(path, width=240)
+    bits = _bits(path, rows, columns, set("0123456"), "bad pixel")
+    return Dataset(bits, name="digits",
+                   truth_labels=[str(i // 200) for i in range(len(rows))])
 
 
 def load_spect(path) -> Dataset:
@@ -415,37 +420,31 @@ def load_soybean(path) -> Dataset:
     """soybean-large.data: class name first, 35 numeric attributes, '?' missing.
 
     Keeps the first 15 classes in file order; attribute arities are derived
-    from the observed values (codes are 0-based in the raw file).
+    from the observed values (codes are 0-based in the raw file). A cell is
+    `?` or a code v >= 0 written as str(v), exactly what its attribute's
+    encoder accepts; the rows of the dropped classes are checked too.
     """
-    rows = _read_rows(path, ",")
-    width = len(rows[0])
+    rows, labels, columns = _read_rows(path, ",", label_column=0)
     for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(
-                f"row {r}: ragged row ({len(row)} cells, expected {width})")
-        for c, cell in enumerate(row[1:], 1):
-            if cell != "?" and not cell.isdecimal():
-                raise DataFormatError(f"row {r}, column {c}: bad code {cell!r}")
-    classes = list(dict.fromkeys(row[0] for row in rows))
-    keep = set(classes[:SOYBEAN_KEEP_CLASSES])
-    rows = [row for row in rows if row[0] in keep]
-    codes = [[int(row[c]) for row in rows if row[c] != "?"]
-             for c in range(1, width)]
+        for c, cell in zip(columns, row):
+            if not _SOYBEAN_CODE.fullmatch(cell):
+                raise DataFormatError(f"{_at(path, r, c)}: bad code {cell!r}")
+    keep = set(list(dict.fromkeys(labels))[:SOYBEAN_KEEP_CLASSES])
+    rows, labels = zip(*[(row, label) for row, label in zip(rows, labels) if label in keep])
+    codes = [[int(code) for code in column if code != "?"] for column in zip(*rows)]
     schema = FeatureSchema(tuple(
         categorical_feature(f"attr{c}", "disjunctive",
                             [str(v) for v in range(max(vals, default=0) + 1)])
         for c, vals in enumerate(codes)))
-    bits, missing = encode_rows([row[1:] for row in rows], schema)
-    return Dataset(bits, name="soybean", truth_labels=[row[0] for row in rows],
-                   missing_cells=missing)
+    # every kept code is one of its attribute's levels, so this cannot fail
+    bits, missing = encode_rows(rows, schema)
+    return Dataset(bits, name="soybean", truth_labels=labels, missing_cells=missing)
 
 
 def load_car(path) -> Dataset:
     """car.data: 6 categorical string features, class last."""
-    rows = _read_rows(path, ",")
-    bits, missing = encode_rows([row[:-1] for row in rows], car_schema())
-    return Dataset(bits, name="car", truth_labels=[row[-1] for row in rows],
-                   missing_cells=missing)
+    return load_categorical_csv(path, car_schema(), delimiter=",", label_column=-1,
+                                name="car")
 
 
 UCI_LOADERS = {

@@ -194,8 +194,10 @@ def binary_csv_ref(path, delimiter=None, header=False, label_column=None,
     gives them: decode, split lines into stripped cells, drop blank lines,
     resolve and cut the label column, check every cell is "0" or "1".
 
-    Raises `DataFormatError` with the reader's message on a malformed file.
-    A file whose only column is the label gives an (n, 0) matrix here.
+    Raises `DataFormatError` with the reader's message on a malformed file,
+    which names it and places a bad cell by its raw column, the label's
+    counted. A file whose only column is the label gives an (n, 0) matrix
+    here.
     """
     import numpy as np
 
@@ -218,7 +220,7 @@ def binary_csv_ref(path, delimiter=None, header=False, label_column=None,
         names = rows[0]
         rows = rows[1:]
         if not rows:
-            raise DataFormatError("no data rows after header")
+            raise DataFormatError(f"{path}: no data rows after header")
     idx = None
     if label_column is not None:
         if isinstance(label_column, int):
@@ -226,16 +228,17 @@ def binary_csv_ref(path, delimiter=None, header=False, label_column=None,
         elif names is not None and label_column in names:
             idx = names.index(label_column)
         else:
-            raise DataFormatError(f"label column {label_column!r} not found in header")
+            raise DataFormatError(f"{path}: label column {label_column!r} not found in header")
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise DataFormatError(f"row {r}: ragged row ({len(row)} cells, expected {width})")
+            raise DataFormatError(
+                f"{path}: row {r}: ragged row ({len(row)} cells, expected {width})")
     labels = None
     if idx is not None:
         if not -width <= idx < width:
             raise DataFormatError(
-                f"label column {idx} out of range for rows of {width} cells")
+                f"{path}: label column {idx} out of range for rows of {width} cells")
         if idx < 0:
             idx += width
         labels = [row[idx] for row in rows]
@@ -243,7 +246,8 @@ def binary_csv_ref(path, delimiter=None, header=False, label_column=None,
     if not set(chain.from_iterable(rows)) <= {"0", "1"}:
         r, c, cell = next((r, c, cell) for r, row in enumerate(rows)
                           for c, cell in enumerate(row) if cell not in ("0", "1"))
-        raise DataFormatError(f"row {r}, column {c}: non-binary cell {cell!r}")
+        raw_c = c + (idx is not None and c >= idx)
+        raise DataFormatError(f"{path}: row {r}, column {raw_c}: non-binary cell {cell!r}")
     text = "".join(chain.from_iterable(rows)).encode("ascii")
     bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
     return bits.reshape(len(rows), len(rows[0])), labels, name or Path(path).stem

@@ -3,16 +3,21 @@
 Criteria 1-7 are self-contained property suites. Criteria 8-12 need the UCI
 datasets under data/raw/ (scripts/fetch_datasets.py); they skip with an
 explicit message when the files are absent. Criterion 11 also runs offline,
-on the car bits rebuilt from the schema.
+on the car bits rebuilt from the schema. Criterion 13 runs `cluster` and
+`sweep` end to end and checks their artifacts against the oracles composed.
 """
 
+import csv
+import json
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binnnms.bga import ascend_bits
 from binnnms.binvec import BinaryVector
+from binnnms.cli import main
 from binnnms.ingest import (
     CAR_VOCABS,
     ZOO_FEATURES,
@@ -31,7 +36,11 @@ from binnnms.metrics import arand, label_codes, nmi
 from conftest import uci_path
 from oracles import (
     arand_ref,
+    ascend_ref,
+    epsilon_ref,
+    hamming_ref,
     knn_ref,
+    majority_ref,
     nmi_ref,
     partition_of_labels,
     partition_ref,
@@ -322,3 +331,113 @@ def test_uci_helpers_run_offline(tmp_path, name):
     ascent = ascend_bits(data, data.bits, 3)
     rows = _trajectory_errors(data, label_codes(data.truth_labels)[0], ascent.rounds)
     assert len(rows) == len(ascent.rounds) + 1
+
+
+# --- criterion 13: `cluster` and `sweep` end to end ---------------------------
+
+@st.composite
+def _tie_heavy_runs(draw):
+    """(rows, truth labels, k1, k2, j_max, epsilon mode): 2 to 6 distinct
+    rows of few bits, some repeated, in any order, so that kNN and vote ties
+    are common and epsilon mostly reaches 1 (the BFS then merges); k1 is
+    often even or n, and j_max small enough to stop some ascents."""
+    d = draw(st.one_of(st.integers(1, 4), st.integers(1, 12)))
+    distinct = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                             min_size=2, max_size=6, unique_by=tuple))
+    copies = draw(st.lists(st.sampled_from(distinct), max_size=5))
+    rows = draw(st.permutations(distinct + copies))
+    n = len(rows)
+    truth = [draw(st.sampled_from("ab")) for _ in range(n)]
+    k1 = min(n, draw(st.sampled_from([2, 4]) | st.integers(1, n) | st.just(n)))
+    k2 = draw(st.integers(1, n - 1) | st.just(n - 1))
+    return (rows, truth, k1, k2, draw(st.integers(1, 3)),
+            draw(st.sampled_from(["mean_all", "kth_only"])))
+
+
+def _endpoints_ref(rows, k1, j_max):
+    """Each row's last iterate under `ascend_ref`; the rows when k1 == 0."""
+    return rows if k1 == 0 else [ascend_ref(rows, row, k1, j_max)[0][-1] for row in rows]
+
+
+def _labeling_ref(rows, ends, k2, mode):
+    """(epsilon, labels, prototypes, quantization error) of the endpoints:
+    the mean of `epsilon_ref` (in floats, as the labeling tests take it),
+    the components of `partition_ref` at that epsilon numbered by first
+    appearance, each one's `majority_ref` with ties to 0, and the mean
+    distance from each row to its cluster's prototype."""
+    eps = float(np.mean(epsilon_ref(ends, k2, mode)))
+    comp = {i: group for group in partition_ref(ends, eps) for i in group}
+    order = list(dict.fromkeys(comp[i] for i in range(len(ends))))
+    labels = [order.index(comp[i]) for i in range(len(ends))]
+    protos = [majority_ref([ends[i] for i in sorted(group)]) for group in order]
+    qe = sum(hamming_ref(row, protos[lab]) for row, lab in zip(rows, labels)) / len(rows)
+    return eps, labels, protos, qe
+
+
+def _run(tmp_path, command, rows, truth, *options):
+    data = tmp_path / "rows.csv"
+    data.write_text("".join(",".join(map(str, row)) + f",{t}\n" for row, t in zip(rows, truth)))
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--label-column", "-1", *options,
+                 "--out-dir", str(out)]) == 0
+    return out
+
+
+_C13 = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(_C13, max_examples=200)
+@given(_tie_heavy_runs())
+def test_c13_cluster_matches_composed_oracles(tmp_path, case):
+    """13. `cluster` writes the labels, prototypes, epsilon, cluster count
+    and quantization error of the oracles composed in pipeline order."""
+    rows, truth, k1, k2, j_max, mode = case
+    out = _run(tmp_path, "cluster", rows, truth, "--k1", str(k1), "--k2", str(k2),
+               "--jmax", str(j_max), "--epsilon-mode", mode)
+    eps, labels, protos, qe = _labeling_ref(rows, _endpoints_ref(rows, k1, j_max), k2, mode)
+    assert (out / "labels.csv").read_text() == "index,label\n" + "".join(
+        f"{i},{lab}\n" for i, lab in enumerate(labels))
+    assert (out / "prototypes.txt").read_text() == "".join(
+        " ".join(map(str, p)) + "\n" for p in protos)
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["epsilon"] == eps
+    assert metrics["num_clusters"] == len(protos)
+    assert metrics["quantization_error"] == pytest.approx(qe, rel=1e-12)
+
+
+@settings(_C13, max_examples=100)
+@given(_tie_heavy_runs())
+def test_c13_sweep_matches_composed_oracles(tmp_path, case):
+    """13. `sweep.csv` over k1 = 0 (no ascent), a valid k1 and k1 = n + 1
+    (its whole column fails), and k2 valid, 0 and n (those cells fail)."""
+    rows, truth, k1, k2, j_max, mode = case
+    n = len(rows)
+    k1s, k2s = [0, k1, n + 1], [k2, 0, n]
+    out = _run(tmp_path, "sweep", rows, truth, "--k1", ",".join(map(str, k1s)),
+               "--k2", ",".join(map(str, k2s)), "--jmax", str(j_max), "--epsilon-mode", mode)
+    with (out / "sweep.csv").open(newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ["k1", "k2", "epsilon", "num_clusters", "nmi", "arand",
+                      "quant_error_final", "status"]
+    want = []
+    for a in k1s:
+        ends = None if a > n else _endpoints_ref(rows, a, j_max)
+        for b in k2s:
+            if ends is None:
+                want.append([a, b, f"error: k1 must be in [1, {n}], got {a}"])
+            elif b < 1:
+                want.append([a, b, "error: k2 must be positive"])
+            elif b >= n:
+                want.append([a, b, f"error: k2 must be at most m-1 = {n - 1}, got {b}"])
+            else:
+                eps, labels, protos, qe = _labeling_ref(rows, ends, b, mode)
+                want.append([a, b, eps, len(protos), nmi_ref(truth, labels),
+                             arand_ref(truth, labels), qe, "ok"])
+    assert len(got) == 1 + len(want)
+    for row, ref in zip(got[1:], want):
+        assert [int(row[0]), int(row[1]), row[-1]] == [ref[0], ref[1], ref[-1]], row
+        if ref[-1] != "ok":
+            assert row[2:-1] == [""] * 5, row
+            continue
+        assert (float(row[2]), int(row[3])) == (ref[2], ref[3]), row
+        assert [float(x) for x in row[4:7]] == pytest.approx(ref[4:7], rel=1e-9, abs=1e-9), row

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binnnms.bga import ascend_bits
 from binnnms.binvec import BinaryVector
@@ -19,10 +20,11 @@ from binnnms.cli import (
     _write_prototypes,
     main,
 )
-from binnnms.ingest import Dataset
+from binnnms.ingest import UCI_LOADERS, Dataset
 from binnnms.metrics import label_codes
-from conftest import trajectories
+from conftest import ROOT, trajectories
 from oracles import majority_ref
+from test_acceptance import _raw_uci_lines
 
 
 @pytest.fixture
@@ -390,6 +392,129 @@ class TestUciDataErrors:
         f.write_text(text)
         assert main(["summary", "--data", str(f), "--format", fmt]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+
+def _digits_file(bad=None):
+    """Three mfeat-pix lines of valid pixels; `bad` replaces row 1, column 5."""
+    rows = [["0", "3", "6"] * 80 for _ in range(3)]
+    if bad is not None:
+        rows[1][5] = bad
+    return "".join("  " + "  ".join(row) + "\n" for row in rows)
+
+
+ZOO_ROW = "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1"
+SOYBEAN_16 = "".join(f"c{i},0,1\n" for i in range(15)) + "c15,01,1\n"
+
+
+class TestRawFileErrors:
+    """Every UCI adapter reads through the general text reader, and every
+    data error names the file and places its row and cell in the file's own
+    numbering: data rows and raw cells, label and animal name counted, from
+    0. `{f}` stands for the file; None text makes it a directory."""
+
+    @pytest.mark.parametrize("fmt, text, where", [
+        pytest.param("digits", None, "{f}: cannot read the input: Is a directory",
+                     id="digits-directory"),
+        *[pytest.param("digits", _digits_file(bad),
+                       f"{{f}}: row 1, column 5: bad pixel '{bad}'", id=f"digits-pixel-{bad}")
+          for bad in ["99", "-1", "7", "nan", "1.5", "x"]],
+        pytest.param("soybean", "d1,01,2\n", "{f}: row 0, column 1: bad code '01'",
+                     id="soybean-01"),
+        pytest.param("soybean", "d1,x,2\n", "{f}: row 0, column 1: bad code 'x'",
+                     id="soybean-x"),
+        pytest.param("soybean", SOYBEAN_16, "{f}: row 15, column 1: bad code '01'",
+                     id="soybean-dropped-class"),
+        pytest.param("zoo", ZOO_ROW.replace(",4,", ",3,") + "\n",
+                     "{f}: row 0, column 13 (legs): unknown level '3'", id="zoo-legs"),
+        pytest.param("zoo", f"{ZOO_ROW}\n{ZOO_ROW[:-2]}\n",
+                     "{f}: row 1: ragged row (17 cells, expected 18)", id="zoo-short-row"),
+        pytest.param("zoo", f"{ZOO_ROW},1\n", "{f}: row 0: ragged row (19 cells, expected 18)",
+                     id="zoo-every-row-long"),
+        pytest.param("car", "vhigh,vhigh,2,2,small,unacc\n",
+                     "{f}: row 0: ragged row (6 cells, expected 7)", id="car-every-row-short"),
+        pytest.param("car", "vhigh,vhigh,2,2,small,low,unacc\nlow,low,2,2,low,unacc\n",
+                     "{f}: row 1: ragged row (6 cells, expected 7)", id="car-short-row"),
+    ])
+    def test_bad_input_is_data_error_at_file_row_column(self, tmp_path, capsys,
+                                                        fmt, text, where):
+        f = tmp_path / "raw.data"
+        if text is None:
+            f.mkdir()
+        else:
+            f.write_text(text)
+        assert main(["summary", "--data", str(f), "--format", fmt]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: " + where.format(f=f) + "\n"
+
+    def test_one_line_digits_file_loads(self, tmp_path, capsys):
+        f = tmp_path / "mfeat-pix"
+        f.write_text(_digits_file().splitlines()[0] + "\n")
+        assert main(["summary", "--data", str(f), "--format", "digits"]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["n"], summary["d"], summary["class_histogram"]) == (1, 240, {"0": 1})
+
+    @pytest.mark.parametrize("option", [["--schema", "s.schema"], ["--delimiter", ","],
+                                        ["--header"], ["--label-column", "-1"]],
+                             ids=lambda option: option[0])
+    def test_uci_format_rejects_an_option_it_would_ignore(self, tmp_path, capsys, option):
+        # each was read by no adapter, and the command exited 0
+        f = tmp_path / "SPECT.data"
+        f.write_text("1,0,1\n0,1,1\n")
+        rc = main(["summary", "--data", str(f), "--format", "spect", *option])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: {option[0]} does not apply to --format spect\n")
+
+
+# --format: (the layout of `_raw_uci_lines` its file takes, further options)
+FORMAT_FILES = {name: (name, []) for name in UCI_LOADERS}
+FORMAT_FILES.update({
+    "auto": ("spect", ["--label-column", "0"]),
+    "binary": ("spect", ["--label-column", "0"]),
+    "categorical": ("car", ["--schema", str(ROOT / "data" / "schemas" / "car.schema"),
+                            "--label-column", "-1"]),
+})
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(--format, its options, the file's bytes or None for a directory): a
+    valid tiny file in the format's layout with at most one cell dropped,
+    added or replaced."""
+    fmt = draw(st.sampled_from(sorted(FORMAT_FILES)))
+    layout, options = FORMAT_FILES[fmt]
+    if draw(st.integers(0, 9)) == 0:
+        return fmt, options, None
+    sep = b" " if layout == "digits" else b","
+    rows = [line.encode().split(sep) for line in
+            _raw_uci_lines(layout, np.random.default_rng(draw(st.integers(0, 3))))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    c = draw(st.integers(0, len(row) - 1))
+    mutation = draw(st.sampled_from(["none", "drop", "add", "set"]))
+    if mutation == "drop":
+        del row[c]
+    elif mutation == "add":
+        row.insert(c, draw(st.sampled_from([b"0", b"1", b"?", b"x"])))
+    elif mutation == "set":
+        row[c] = draw(st.sampled_from([b"", b"x", b"nan", b"-1", b"01", b"?", b"\xff"]))
+    return fmt, options, b"".join(sep.join(row) + b"\n" for row in rows)
+
+
+class TestEveryFormat:
+    @given(mutated_inputs())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_cell_is_exit_2_naming_the_file(self, tmp_path, capsys, case):
+        fmt, options, raw = case
+        f = tmp_path / ("a-directory" if raw is None else "raw.data")
+        if raw is None:
+            f.mkdir(exist_ok=True)
+        else:
+            f.write_bytes(raw)
+        rc = main(["summary", "--data", str(f), "--format", fmt, *options])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_DATA), err
+        if rc == EXIT_DATA:
+            assert err.startswith(f"data error: {f}: "), err
 
 
 class TestUndecodableData:

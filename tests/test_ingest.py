@@ -134,6 +134,20 @@ class TestBinaryCsv:
         ds = load_binary_csv(f, delimiter=delimiter)
         assert ds.bits.tolist() == [[0, 1, 1], [1, 0, 0]]
 
+    @pytest.mark.parametrize("text, kwargs, where", [
+        ("a,0,1\nb,1,x\n", {"label_column": 0}, "row 1, column 2"),
+        ("0,a,1\n1,b,x\n", {"label_column": 1}, "row 1, column 2"),
+        ("0,x,a\n", {"label_column": -1}, "row 0, column 1"),
+        ("c,x1\n\na,1\n\nb, 2\n", {"header": True, "label_column": "c"}, "row 1, column 1"),
+    ], ids=["label-first", "label-inside", "label-last", "header-and-blank-lines"])
+    def test_bad_cell_placed_in_the_file_numbering(self, tmp_path, text, kwargs, where):
+        # data rows count from 0 after the header; columns count the label
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            load_binary_csv(f, **kwargs)
+        assert str(exc.value).startswith(f"{f}: {where}: non-binary cell")
+
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0,1\n0\n")
@@ -348,6 +362,25 @@ class TestCategoricalCsv:
         with pytest.raises(DataFormatError, match="row 1, column 0"):
             load_categorical_csv(f, schema)
 
+    def test_bad_cell_placed_in_the_file_numbering(self, tmp_path):
+        schema = FeatureSchema((categorical_feature("c", "disjunctive", 3),))
+        f = tmp_path / "c.csv"
+        f.write_text("a,1\nb,7\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_categorical_csv(f, schema, label_column=0)
+        assert str(exc.value) == f"{f}: row 1, column 1 (c): level 7 out of [1, 3]"
+
+    def test_width_against_the_schema_names_file_and_row(self, tmp_path):
+        # every row had 3 cells: "rows have 3 cells but schema declares 2 features"
+        schema = FeatureSchema((Feature("a", "binary"), Feature("b", "binary")))
+        f = tmp_path / "c.csv"
+        f.write_text("0,1,1\n1,0,0\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_categorical_csv(f, schema)
+        assert str(exc.value) == f"{f}: row 0: ragged row (3 cells, expected 2)"
+        ds = load_categorical_csv(f, schema, label_column=-1)
+        assert ds.bits.tolist() == [[0, 1], [1, 0]] and ds.truth_labels == ["1", "0"]
+
     def test_missing_value_all_zero_block(self, tmp_path):
         schema = FeatureSchema((categorical_feature("c", "disjunctive", 3),
                                 Feature("b", "binary")))
@@ -491,6 +524,15 @@ class TestSoybean:
         assert ds.truth_labels == ["d1", "d2", "d1"]
         assert ds.missing_cells == 3
 
+    @pytest.mark.parametrize("bad", ["01", "00", "+1", "-1", "1.0", "x", "", "٣"])
+    def test_code_outside_the_encoder_rule_is_data_error(self, tmp_path, bad):
+        # `01` passed an isdecimal check, then failed at another column number
+        f = tmp_path / "soy.data"
+        f.write_bytes(f"d1,0,?\nd2,1,{bad}\n".encode())
+        with pytest.raises(DataFormatError) as exc:
+            load_soybean(f)
+        assert str(exc.value) == f"{f}: row 1, column 2: bad code {bad!r}"
+
     def test_keeps_first_15_classes(self, tmp_path):
         # the 16th and 17th classes go, and so does the code 7 only they use
         f = tmp_path / "soy.data"
@@ -558,6 +600,25 @@ class TestSchemaFile:
 
 
 class TestDigits:
+    def test_pixels_binarize_at_nonzero(self, tmp_path):
+        # one line: np.loadtxt gave a 1-d array and "expected 240 columns"
+        f = tmp_path / "mfeat-pix"
+        f.write_text("  " + "  ".join("0123456" * 34 + "01") + "\n")
+        ds = load_digits(f)
+        assert (ds.n, ds.d, ds.truth_labels) == (1, 240, ["0"])
+        assert ds.bits[0].tolist() == ([0] + [1] * 6) * 34 + [0, 1]
+
+    @pytest.mark.parametrize("bad", ["99", "-1", "7", "nan", "1.5", "x", "", "01", "٣"])
+    def test_pixel_outside_0_to_6_is_data_error(self, tmp_path, bad):
+        # row 1 is comma-delimited, so that an empty cell stays a cell
+        cells = ["0"] * 240
+        cells[7] = bad
+        f = tmp_path / "mfeat-pix"
+        f.write_text(" ".join(["1"] * 240) + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_digits(f)
+        assert str(exc.value) == f"{f}: row 1, column 7: bad pixel {bad!r}"
+
     def test_non_numeric_cell(self, tmp_path):
         f = tmp_path / "mfeat-pix"
         f.write_text(" ".join(["0"] * 239 + ["x"]) + "\n")
@@ -567,8 +628,9 @@ class TestDigits:
     def test_wrong_width(self, tmp_path):
         f = tmp_path / "mfeat-pix"
         f.write_text("0 1 2\n")
-        with pytest.raises(DataFormatError, match="240 columns"):
+        with pytest.raises(DataFormatError) as exc:
             load_digits(f)
+        assert str(exc.value) == f"{f}: row 0: ragged row (3 cells, expected 240)"
 
 
 class TestSummary:
