@@ -212,7 +212,9 @@ CODINGS = ("additive", "disjunctive")
 class Feature:
     """One feature of a schema: a single bit, or an encoded categorical.
 
-    `vocab`, when set, maps raw cell strings to 1-based levels by position.
+    `vocab` maps raw cell strings to 1-based levels by position; a
+    categorical feature given only a level count has the vocabulary
+    ("1", ..., str(levels)), so its cells are exactly those strings.
     """
 
     name: str
@@ -229,6 +231,8 @@ class Feature:
                 raise ValueError("categorical feature needs levels >= 1")
             if self.coding not in CODINGS:
                 raise ValueError(f"unknown coding {self.coding!r}")
+            if self.vocab is None:
+                object.__setattr__(self, "vocab", range(1, self.levels + 1))
         if self.vocab is not None:
             object.__setattr__(self, "vocab", tuple(str(v) for v in self.vocab))
             if len(self.vocab) != self.levels:

@@ -21,8 +21,7 @@ from .ingest import (
     UCI_LOADERS,
     DataFormatError,
     Dataset,
-    _decode,
-    _read_input,
+    _read_rows,
     dataset_summary,
     load_binary_csv,
     load_categorical_csv,
@@ -66,10 +65,12 @@ def _load_dataset(args) -> Dataset:
             if given:
                 raise ValueError(f"{flag} does not apply to --format {args.format}")
         return load_uci(args.format, args.data)
+    if args.format == "binary" and args.schema is not None:
+        raise ValueError("--schema does not apply to --format binary")
+    if args.format == "categorical" and args.schema is None:
+        raise ValueError("--format categorical requires --schema")
     label = _parse_label_column(args.label_column)
-    if args.schema or args.format == "categorical":
-        if not args.schema:
-            raise DataFormatError("categorical format requires --schema")
+    if args.schema is not None:
         schema = parse_schema_file(args.schema)
         return load_categorical_csv(args.data, schema, delimiter=args.delimiter,
                                     header=args.header, label_column=label)
@@ -97,7 +98,8 @@ def _output(flag: str, path):
     """`path` as a Path; failing to create or open it is a config error (exit 1)."""
     try:
         yield Path(path)
-    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         raise ValueError(f"{flag} {path}: {exc.strerror}") from None
 
 
@@ -291,15 +293,10 @@ def cmd_sweep(args) -> int:
 # --- small commands ---------------------------------------------------------
 
 def _read_label_file(path) -> list[str]:
-    labels = []
-    for line in _decode(_read_input(path), path).splitlines():
-        line = line.strip()
-        if not line or line.lower().startswith("index,"):
-            continue
-        labels.append(line.replace(",", " ").split()[-1])
-    if not labels:
-        raise DataFormatError(f"{path}: no labels found")
-    return labels
+    """The last cell of each row: one label a line, or the `index,label`
+    rows of a `labels.csv`, whose header is a first row starting `index`."""
+    rows, _, _ = _read_rows(path, header="index")
+    return [row[-1] for row in rows]
 
 
 def cmd_eval(args) -> int:
@@ -314,7 +311,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    ds = _load_dataset(args)  # the encode parser sets format "categorical"
+    ds = _load_dataset(args)
     with _output("--out", args.out) as out:
         write_binary_csv(ds, out)
     print(f"encoded {ds.n} rows x {ds.d} bits -> {args.out}")
@@ -376,14 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("encode", help="categorical CSV -> binary CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("encode", help="any input format -> binary CSV, label last")
+    _add_data_opts(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--delimiter", default=None)
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--label-column", default=None)
-    p.set_defaults(func=cmd_encode, format="categorical")
+    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("summary", help="dataset sizes and class histogram")
     _add_data_opts(p)

@@ -104,7 +104,9 @@ def _read_rows(path, delimiter=None, header=False, label_column=None,
     """(rows, labels, columns): a file's data rows as lists of stripped cells
     less the label cell, the labels (None without a label column), and each
     remaining cell's raw column. Every row must have `width` cells, by
-    default as many as the first. `raw` is the bytes, if already read."""
+    default as many as the first. `header` is True when the first row names
+    the columns, or the first cell that marks such a row. `raw` is the
+    bytes, if already read."""
     text = _decode(_read_input(path) if raw is None else raw, path)
     rows = []
     for line in text.splitlines():
@@ -121,7 +123,7 @@ def _read_rows(path, delimiter=None, header=False, label_column=None,
         rows.append(cells)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    names = rows.pop(0) if header else None
+    names = rows.pop(0) if header is True or rows[0][0] == header else None
     if not rows:
         raise DataFormatError(f"{path}: no data rows after header")
     idx = label_column  # an index, or a name the header must hold
@@ -290,15 +292,11 @@ def _codeword_row(cell: str, feat: Feature, r: int, c: int, where) -> int:
             raise DataFormatError(
                 f"{where(r, c)} ({feat.name}): non-binary cell {cell!r}")
         return int(cell)
-    try:  # tuple.index and int both raise ValueError
-        level = feat.vocab.index(cell) + 1 if feat.vocab is not None else int(cell)
+    try:
+        return feat.vocab.index(cell)
     except ValueError:
         raise DataFormatError(
             f"{where(r, c)} ({feat.name}): unknown level {cell!r}") from None
-    if not 1 <= level <= feat.levels:
-        raise DataFormatError(
-            f"{where(r, c)} ({feat.name}): level {level} out of [1, {feat.levels}]")
-    return level - 1
 
 
 def categorical_feature(name: str, coding: str, levels_or_vocab) -> Feature:

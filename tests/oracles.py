@@ -273,7 +273,8 @@ def encode_rows_ref(rows, schema):
     """(bits as lists, missing count) of rows of categorical cells, encoded one
     cell at a time: `?` is an all-zero block and counts as missing, a binary
     cell is its bit, and a categorical cell names a level by its vocabulary
-    position or, without a vocabulary, as an integer in [1, levels].
+    position (a feature given only a level count has the vocabulary "1" to
+    str(levels), so `01` or `+2` names no level).
 
     Raises `DataFormatError` with the library's message at the first bad cell
     or ragged row, in row-major order.
@@ -300,18 +301,8 @@ def encode_rows_ref(rows, schema):
                     raise DataFormatError(f"{where}: non-binary cell {cell!r}")
                 bits.append(int(cell))
             else:
-                if feat.vocab is not None:
-                    if cell not in feat.vocab:
-                        raise DataFormatError(f"{where}: unknown level {cell!r}")
-                    level = feat.vocab.index(cell) + 1
-                else:
-                    try:
-                        level = int(cell)
-                    except ValueError:
-                        raise DataFormatError(f"{where}: unknown level {cell!r}") from None
-                    if not 1 <= level <= feat.levels:
-                        raise DataFormatError(
-                            f"{where}: level {level} out of [1, {feat.levels}]")
-                bits += codeword_ref(level, feat.levels, feat.coding)
+                if cell not in feat.vocab:
+                    raise DataFormatError(f"{where}: unknown level {cell!r}")
+                bits += codeword_ref(feat.vocab.index(cell) + 1, feat.levels, feat.coding)
         out.append(bits)
     return out, missing

@@ -368,7 +368,15 @@ class TestCategoricalCsv:
         f.write_text("a,1\nb,7\n")
         with pytest.raises(DataFormatError) as exc:
             load_categorical_csv(f, schema, label_column=0)
-        assert str(exc.value) == f"{f}: row 1, column 1 (c): level 7 out of [1, 3]"
+        assert str(exc.value) == f"{f}: row 1, column 1 (c): unknown level '7'"
+
+    @pytest.mark.parametrize("levels, cell", [(3, "01"), (3, "+2"), (3, " 2"), (10, "1_0")])
+    def test_level_count_cell_is_exactly_str_level(self, levels, cell):
+        # `int(cell)` took each of these, 1_0 as level 10
+        schema = FeatureSchema((categorical_feature("c", "disjunctive", levels),))
+        with pytest.raises(DataFormatError) as exc:
+            encode_rows([["1"], [cell]], schema)
+        assert str(exc.value) == f"row 1, column 0 (c): unknown level {cell!r}"
 
     def test_width_against_the_schema_names_file_and_row(self, tmp_path):
         # every row had 3 cells: "rows have 3 cells but schema declares 2 features"
@@ -554,6 +562,8 @@ class TestSchemaFile:
         assert [ft.name for ft in schema.features] == ["hair", "legs", "temp"]
         assert schema.encoded_dim == 1 + 6 + 3
         assert schema.features[1].vocab == ("0", "2", "4", "5", "6", "8")
+        # a level count names its levels "1" to str(levels), exactly
+        assert schema.features[2].vocab == ("1", "2", "3")
 
     def test_bad_line(self, tmp_path):
         f = tmp_path / "s.schema"
