@@ -144,7 +144,7 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
 class BinaryVector:
     """Immutable fixed-width vector over {0,1}^d, bit-packed for fast distances."""
 
-    __slots__ = ("_bits", "_packed", "_hash")
+    __slots__ = ("_bits",)
 
     def __init__(self, bits):
         arr = np.asarray(bits)
@@ -155,8 +155,6 @@ class BinaryVector:
         arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self._bits = arr
-        self._packed = None
-        self._hash = None
 
     @classmethod
     def from_string(cls, s: str) -> "BinaryVector":
@@ -172,9 +170,7 @@ class BinaryVector:
 
     @property
     def packed(self) -> np.ndarray:
-        if self._packed is None:
-            self._packed = pack_bits(self._bits)
-        return self._packed
+        return pack_bits(self._bits)
 
     def to01(self) -> str:
         return "".join("1" if b else "0" for b in self._bits)
@@ -188,9 +184,7 @@ class BinaryVector:
         return self.dim == other.dim and np.array_equal(self._bits, other._bits)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dim, self._bits.tobytes()))
-        return self._hash
+        return hash((self.dim, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"BinaryVector({self.to01()!r})"

@@ -30,7 +30,7 @@ from .ingest import (
     write_binary_csv,
 )
 from .kmodes import kmodes_repeated
-from .labeling import epsilon_bits, label_bits
+from .labeling import EPSILON_MODES, epsilon_bits, label_bits
 from .median import group_majority_bits
 from .metrics import label_codes, quantization_error, scores
 
@@ -132,12 +132,6 @@ def _endpoints(data: Dataset, k1: int, j_max: int):
     return ascent.endpoints, ascent
 
 
-def _label(endpoints, k2: int, epsilon_mode: str):
-    """(labeling, epsilon) of the endpoints at the k2 epsilon threshold."""
-    epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
-    return label_bits(endpoints, epsilon), epsilon
-
-
 def _truth_codes(data: Dataset) -> np.ndarray | None:
     """The class index of each point in first-appearance order of the truth
     labels, or None without them: coded once per command, so each score
@@ -154,6 +148,18 @@ def _scores(truth, labels) -> dict:
     return {"nmi": round(nmi, 12), "arand": round(arand, 12)}
 
 
+def _cell(data: Dataset, truth, endpoints, k2: int, epsilon_mode: str):
+    """(labeling, values) of the endpoints at the k2 epsilon threshold: one
+    `cluster` run, or one (k1, k2) cell of a `sweep`."""
+    epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
+    labeling = label_bits(endpoints, epsilon)
+    return labeling, {
+        "epsilon": epsilon, "num_clusters": labeling.num_clusters,
+        "quantization_error": quantization_error(data, labeling.labels,
+                                                 labeling.prototypes),
+        **_scores(truth, labeling.labels)}
+
+
 def cmd_cluster(args) -> int:
     data = _load_dataset(args)
     with _output("--out-dir", args.out_dir) as out:
@@ -164,16 +170,11 @@ def cmd_cluster(args) -> int:
         if args.k1 < 1:
             raise ValueError("cluster requires k1 >= 1 (k1=0 exists only in sweep)")
         endpoints, _ = _endpoints(data, args.k1, args.jmax)
-        labeling, epsilon = _label(endpoints, args.k2, args.epsilon_mode)
+        labeling, metrics = _cell(data, truth, endpoints, args.k2, args.epsilon_mode)
         labels, prototypes = labeling.labels, labeling.prototypes
-        metrics = {
-            "algo": "binnnms", "k1": args.k1, "k2": args.k2, "jmax": args.jmax,
-            "epsilon": epsilon, "epsilon_mode": args.epsilon_mode,
-            "num_clusters": labeling.num_clusters,
-            "single_cluster": labeling.single_cluster,
-            "quantization_error": quantization_error(data, labels, prototypes),
-        }
-        metrics.update(_scores(truth, labels))
+        metrics.update(algo="binnnms", k1=args.k1, k2=args.k2, jmax=args.jmax,
+                       epsilon_mode=args.epsilon_mode,
+                       single_cluster=labeling.single_cluster)
     else:
         results = kmodes_repeated(data, args.k, args.runs, base_seed=args.seed)
         per_run = []
@@ -239,16 +240,6 @@ def _trajectory_errors(data: Dataset, cidx: np.ndarray, rounds) -> list[dict]:
     return rows
 
 
-def _sweep_cell(data: Dataset, truth, endpoints, k1: int, k2: int,
-                epsilon_mode: str) -> dict:
-    labeling, epsilon = _label(endpoints, k2, epsilon_mode)
-    return {"k1": k1, "k2": k2, "epsilon": epsilon,
-            "num_clusters": labeling.num_clusters,
-            "quant_error_final": quantization_error(data, labeling.labels,
-                                                  labeling.prototypes),
-            "status": "ok", **_scores(truth, labeling.labels)}
-
-
 def _write_csv(path: Path, fields: list[str], rows) -> None:
     with path.open("w", newline="") as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -265,19 +256,22 @@ def cmd_sweep(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     truth = _truth_codes(data)
     rows, trajectories = [], {}
+    # only a config error (ValueError) is a status row; others end the command
     for k1 in k1_list:
         try:
             endpoints, ascent = _endpoints(data, k1, args.jmax)
-        except Exception as exc:  # record the whole k1 column as failed
+        except ValueError as exc:  # the whole k1 column fails
             rows.extend({"k1": k1, "k2": k2, "status": f"error: {exc}"}
                         for k2 in k2_list)
             continue
         for k2 in k2_list:
             try:
-                rows.append(_sweep_cell(data, truth, endpoints, k1, k2,
-                                        args.epsilon_mode))
-            except Exception as exc:
-                rows.append({"k1": k1, "k2": k2, "status": f"error: {exc}"})
+                _, cell = _cell(data, truth, endpoints, k2, args.epsilon_mode)
+            except ValueError as exc:
+                cell = {"status": f"error: {exc}"}
+            else:
+                cell.update(quant_error_final=cell["quantization_error"], status="ok")
+            rows.append({"k1": k1, "k2": k2, **cell})
         if ascent is not None and truth is not None:
             trajectories[k1] = _trajectory_errors(data, truth, ascent.rounds)
     _write_csv(out / "sweep.csv",
@@ -304,7 +298,7 @@ def cmd_eval(args) -> int:
     pred = _read_label_file(args.pred)
     if len(truth) != len(pred):
         raise DataFormatError(
-            f"label files differ in length: {len(truth)} vs {len(pred)}")
+            f"{args.pred}: {len(pred)} labels, but {args.truth} has {len(truth)}")
     nmi, arand = scores(truth, pred)
     print(json.dumps({"nmi": nmi, "arand": arand}, sort_keys=True))
     return EXIT_OK
@@ -338,6 +332,13 @@ def _add_data_opts(p):
                    help="truth label column, by name or index")
 
 
+def _add_run_opts(p):
+    """The options `cluster` and `sweep` share, with one meaning in both."""
+    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
+    p.add_argument("--epsilon-mode", choices=EPSILON_MODES, default="mean_all")
+    p.add_argument("--out-dir", default="out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="binnnms",
                      description="Median shift clustering for binary data")
@@ -345,27 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="run one clustering end to end")
     _add_data_opts(p)
+    _add_run_opts(p)
     p.add_argument("--algo", choices=["binnnms", "kmodes"], default="binnnms")
     p.add_argument("--k1", type=int, default=10)
     p.add_argument("--k2", type=int, default=5)
-    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
-    p.add_argument("--epsilon-mode", choices=["mean_all", "kth_only"],
-                   default="mean_all")
     p.add_argument("--k", type=int, default=2, help="kmodes cluster count")
     p.add_argument("--runs", type=int, default=1, help="kmodes restarts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep", help="grid sweep over (k1, k2)")
     _add_data_opts(p)
+    _add_run_opts(p)
     p.add_argument("--k1", required=True,
                    help='k1 grid, e.g. "0,2..30" (0 = skip gradient ascent)')
     p.add_argument("--k2", required=True, help='k2 grid, e.g. "1..20"')
-    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
-    p.add_argument("--epsilon-mode", choices=["mean_all", "kth_only"],
-                   default="mean_all")
-    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="score predicted labels against truth")

@@ -14,6 +14,7 @@ from binnnms.binvec import BinaryVector
 from binnnms.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     _trajectory_errors,
     _write_labels,
@@ -159,23 +160,32 @@ def test_binary_input_builds_no_binary_vector(two_blobs, tmp_path, monkeypatch):
 
 class TestSweep:
     def test_grid_and_consistency(self, two_blobs, tmp_path):
-        sweep_out = tmp_path / "sweep"
-        rc = main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
-                   "--k1", "0,6", "--k2", "2,3", "--out-dir", str(sweep_out)])
-        assert rc == EXIT_OK
-        lines = (sweep_out / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 1 + 4  # header + 2x2 grid
-        # the (6, 2) cell must match a standalone run with those params
-        cell = next(l for l in lines[1:] if l.startswith("6,2,"))
-        fields = dict(zip(lines[0].split(","), cell.split(",")))
-        solo_out = tmp_path / "solo"
-        main(["cluster", "--data", str(two_blobs), "--label-column", "-1",
-              "--k1", "6", "--k2", "2", "--out-dir", str(solo_out)])
-        metrics = json.loads((solo_out / "metrics.json").read_text())
-        assert float(fields["nmi"]) == pytest.approx(metrics["nmi"])
-        assert int(fields["num_clusters"]) == metrics["num_clusters"]
-        assert float(fields["quant_error_final"]) == pytest.approx(
-            metrics["quantization_error"])
+        for mode in ("mean_all", "kth_only"):
+            sweep_out = tmp_path / mode / "sweep"
+            rc = main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
+                       "--k1", "0,6", "--k2", "2,3", "--epsilon-mode", mode,
+                       "--out-dir", str(sweep_out)])
+            assert rc == EXIT_OK
+            with (sweep_out / "sweep.csv").open() as f:
+                cells = list(csv.DictReader(f))
+            assert len(cells) == 4  # the 2x2 grid
+            # each cell with k1 >= 1 is exactly a standalone run with its
+            # (k1, k2): both files hold the same floats, so they parse equal
+            for cell in (c for c in cells if int(c["k1"]) >= 1):
+                solo_out = tmp_path / mode / f"solo{cell['k1']}-{cell['k2']}"
+                assert main(["cluster", "--data", str(two_blobs),
+                             "--label-column", "-1", "--k1", cell["k1"],
+                             "--k2", cell["k2"], "--epsilon-mode", mode,
+                             "--out-dir", str(solo_out)]) == EXIT_OK
+                metrics = json.loads((solo_out / "metrics.json").read_text())
+                assert cell["status"] == "ok"
+                assert {"epsilon": float(cell["epsilon"]),
+                        "num_clusters": int(cell["num_clusters"]),
+                        "nmi": float(cell["nmi"]), "arand": float(cell["arand"]),
+                        "quantization_error": float(cell["quant_error_final"]),
+                        } == {key: metrics[key] for key in (
+                            "epsilon", "num_clusters", "nmi", "arand",
+                            "quantization_error")}
 
     def test_k1_zero_is_labeling_only(self, two_blobs, tmp_path):
         out = tmp_path / "s"
@@ -213,6 +223,20 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert any("error" in l for l in lines[1:])
         assert any(l.split(",")[-1] == "ok" for l in lines[1:])
+
+    def test_other_failure_ends_the_command(self, two_blobs, tmp_path,
+                                            monkeypatch, capsys):
+        # only a config error (ValueError) becomes a status row; a fault of
+        # any other kind is a runtime failure, not a row and exit 0
+        def broken(bits, epsilon):
+            raise RuntimeError("labeling broke")
+
+        monkeypatch.setattr("binnnms.cli.label_bits", broken)
+        rc = main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
+                   "--k1", "0,6", "--k2", "2", "--out-dir", str(tmp_path / "s")])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime failure: labeling broke\n"
+        assert not (tmp_path / "s" / "sweep.csv").exists()
 
     def test_artifact_bytes(self, tmp_path):
         # k1 = -1 and k1 = 99 > n fail their whole columns, k2 = 9 > m - 1
@@ -298,12 +322,14 @@ class TestEval:
         main(["eval", "--truth", str(t), "--pred", str(p)])
         assert json.loads(capsys.readouterr().out)["nmi"] == pytest.approx(0.0)
 
-    def test_length_mismatch(self, tmp_path):
+    def test_length_mismatch(self, tmp_path, capsys):
         t = tmp_path / "t.txt"
         p = tmp_path / "p.txt"
         t.write_text("0\n1\n")
         p.write_text("0\n")
         assert main(["eval", "--truth", str(t), "--pred", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {p}: 1 labels, but {t} has 2\n")
 
     def test_reads_labels_csv_format(self, tmp_path, capsys):
         # the label is each row's last cell, after an `index` header if any
