@@ -36,9 +36,10 @@ TERMINATIONS = (FIXED_POINT, MAX_ITERATIONS)  # BatchAscent.ends order
 DEFAULT_J_MAX = 50
 
 
-def _vote(data: Dataset, x: np.ndarray, k1: int) -> np.ndarray:
-    """One median-shift step for every row of the (m, d) bit matrix x."""
-    idx, _ = hamming_topk(pack_bits(x), data.packed, k1)
+def _vote(data: Dataset, x: np.ndarray, packed: np.ndarray, k1: int) -> np.ndarray:
+    """One median-shift step for every row of the (m, d) bit matrix x, whose
+    `pack_bits` words are `packed`."""
+    idx, _ = hamming_topk(packed, data.packed, k1)
     out = np.empty_like(x)
     # a vote count fits the narrowest type that holds k1, twice it the
     # narrowest that holds 2 * k1
@@ -100,8 +101,9 @@ def ascend_bits(data: Dataset, x0: np.ndarray, k1: int,
     for _ in range(j_max):
         if not active.size:
             break
-        first, inverse, _ = unique_rows(cur)
-        nxt = _vote(data, cur[first], k1)[inverse]
+        packed = pack_bits(cur)
+        first, inverse = unique_rows(packed)
+        nxt = _vote(data, cur[first], packed[first], k1)[inverse]
         rounds.append((active, nxt))
         endpoints[active] = nxt
         going = (nxt != cur).any(axis=1)

@@ -19,10 +19,11 @@ class DimensionMismatch(ValueError):
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 array (last axis = bit axis) into little-endian uint64 words.
+    """Pack a 0/1 array (last axis = bit axis) into uint64 words, each word's
+    first bit in its most significant place.
 
-    Trailing pad bits are zero, so XOR + popcount over words is an exact
-    Hamming distance.
+    Numeric word order is then row order, and trailing pad bits are zero, so
+    XOR + popcount over words is an exact Hamming distance.
     """
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     d = bits.shape[-1]
@@ -30,8 +31,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     if pad:
         pad_shape = bits.shape[:-1] + (pad,)
         bits = np.concatenate([bits, np.zeros(pad_shape, dtype=np.uint8)], axis=-1)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view("<u8")
+    return np.packbits(bits, axis=-1).view(">u8").astype(np.uint64)
 
 
 def bit_matrix(bits) -> np.ndarray:
@@ -45,30 +45,22 @@ def bit_matrix(bits) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first, inverse, counts) of the distinct rows of an (m, d) 0/1 matrix,
-    as `np.unique(bits, axis=0, return_index=True, return_inverse=True,
-    return_counts=True)` gives them: `bits[first]` are the distinct rows in
-    ascending order, each at its first occurrence, and `bits[first][inverse]`
-    is `bits`.
+def unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct rows of an (m, words) `pack_bits`
+    matrix, as `np.unique(bits, axis=0, return_index=True,
+    return_inverse=True)` gives them for the bits it packs: `packed[first]`
+    are the distinct rows in ascending order, each at its first occurrence,
+    and `packed[first][inverse]` is `packed`.
 
-    The rows pack big-endian, so their bytes, read as big-endian words,
-    order like the bits; one stable lexsort over the words does the rest.
+    The words order like the bits, so one stable lexsort over them does it.
     """
-    packed = np.packbits(bits, axis=1)
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros((packed.shape[0], pad), dtype=np.uint8)], axis=1)
-    words = np.ascontiguousarray(packed).view(">u8").astype(np.uint64)
-    order = np.lexsort(words.T[::-1])  # the first word is the primary key
-    ranked = words[order]
+    order = np.lexsort(packed.T[::-1])  # the first word is the primary key
+    ranked = packed[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return order[starts], inverse, np.diff(starts, append=len(order))
+    return order[new], inverse
 
 
 def row_blocks(m: int, row_bytes: int):

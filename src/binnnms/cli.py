@@ -160,7 +160,19 @@ def _cell(data: Dataset, truth, endpoints, k2: int, epsilon_mode: str):
         **_scores(truth, labeling.labels)}
 
 
+# each `cluster` option that one --algo alone reads, with its default
+_ALGO_OPTS = {"binnnms": dict(k1=10, k2=5, jmax=DEFAULT_J_MAX, epsilon_mode="mean_all"),
+              "kmodes": dict(k=2, runs=1, seed=0)}
+
+
 def cmd_cluster(args) -> int:
+    for algo, defaults in _ALGO_OPTS.items():
+        for name, default in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif algo != args.algo:
+                raise ValueError(f"--{name.replace('_', '-')} does not apply to "
+                                 f"--algo {args.algo}")
     data = _load_dataset(args)
     with _output("--out-dir", args.out_dir) as out:
         out.mkdir(parents=True, exist_ok=True)
@@ -334,8 +346,9 @@ def _add_data_opts(p):
 
 def _add_run_opts(p):
     """The options `cluster` and `sweep` share, with one meaning in both."""
-    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
-    p.add_argument("--epsilon-mode", choices=EPSILON_MODES, default="mean_all")
+    defaults = _ALGO_OPTS["binnnms"]  # cluster's are unset until cmd_cluster
+    p.add_argument("--jmax", type=int, default=defaults["jmax"])
+    p.add_argument("--epsilon-mode", choices=EPSILON_MODES, default=defaults["epsilon_mode"])
     p.add_argument("--out-dir", default="out")
 
 
@@ -347,13 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="run one clustering end to end")
     _add_data_opts(p)
     _add_run_opts(p)
-    p.add_argument("--algo", choices=["binnnms", "kmodes"], default="binnnms")
-    p.add_argument("--k1", type=int, default=10)
-    p.add_argument("--k2", type=int, default=5)
-    p.add_argument("--k", type=int, default=2, help="kmodes cluster count")
-    p.add_argument("--runs", type=int, default=1, help="kmodes restarts")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_cluster)
+    p.add_argument("--algo", choices=list(_ALGO_OPTS), default="binnnms")
+    p.add_argument("--k1", type=int)
+    p.add_argument("--k2", type=int)
+    p.add_argument("--k", type=int, help="kmodes cluster count")
+    p.add_argument("--runs", type=int, help="kmodes restarts")
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=cmd_cluster, **{name: None for opts in _ALGO_OPTS.values()
+                                        for name in opts})
 
     p = sub.add_parser("sweep", help="grid sweep over (k1, k2)")
     _add_data_opts(p)

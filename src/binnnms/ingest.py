@@ -35,9 +35,9 @@ class DataFormatError(ValueError):
 class Dataset:
     """Immutable collection of equal-width binary vectors.
 
-    `bits` is an (n, d) 0/1 matrix; `packed` is its uint64 bit-packed view,
-    used for fast Hamming work. Both are read-only, and `packed` is always
-    packed from `bits`. Datasets compare (and hash) by identity.
+    `bits` is an (n, d) 0/1 matrix; `packed` is its `pack_bits` uint64 words,
+    used for fast Hamming work and dedupe. Both are read-only, and `packed` is
+    always packed from `bits`. Datasets compare (and hash) by identity.
     """
 
     bits: np.ndarray

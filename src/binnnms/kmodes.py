@@ -44,16 +44,16 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     Prototypes start from k distinct points sampled without replacement;
     assignment ties go to the lowest cluster index, vote ties keep the
     previous prototype's bit. A cluster that empties is reseeded with the
-    point farthest from its prototype. `distinct` is the distinct rows of
-    `data.bits` in `unique_rows` order (that of `np.unique(..., axis=0)`),
-    computed here when not given.
+    point farthest from its prototype. `distinct`, computed here when not
+    given, is `data.bits[unique_rows(data.packed)[0]]`: the distinct rows in
+    ascending order, as `np.unique(data.bits, axis=0)` gives them.
     """
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}], got {k}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if distinct is None:
-        distinct = data.bits[unique_rows(data.bits)[0]]
+        distinct = data.bits[unique_rows(data.packed)[0]]
     if k > distinct.shape[0]:
         raise ValueError(f"k = {k} exceeds the {distinct.shape[0]} distinct points")
     rng = np.random.default_rng(seed)
@@ -101,7 +101,7 @@ def kmodes_repeated(data: Dataset, k: int, runs: int, base_seed: int = 0,
     """Independent restarts with seeds base_seed .. base_seed+runs-1."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    distinct = data.bits[unique_rows(data.bits)[0]]
+    distinct = data.bits[unique_rows(data.packed)[0]]
     return [kmodes_run(data, k, seed=base_seed + r, max_iter=max_iter,
                        distinct=distinct)
             for r in range(runs)]

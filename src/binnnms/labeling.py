@@ -13,6 +13,7 @@ import numpy as np
 
 from .binvec import bit_matrix, hamming_blocks, hamming_topk, pack_bits, unique_rows
 from .median import group_majority_bits
+from .metrics import label_codes
 
 EPSILON_MODES = ("mean_all", "kth_only")
 
@@ -35,17 +36,6 @@ class ClusterLabeling:
         return self.num_clusters == 1
 
 
-def _distinct(bits: np.ndarray):
-    """(packed distinct rows, inverse, counts) of a bit matrix, the distinct
-    rows in order of first appearance; the packed matrix is
-    `distinct[inverse]`."""
-    first, inverse, counts = unique_rows(bits)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return pack_bits(bits[first[order]]), rank[inverse], counts[order]
-
-
 def epsilon_bits(bits, k2: int, mode="mean_all") -> float:
     """Merge threshold from the k2-nearest-neighbor distances (self excluded)
     of the rows of an (m, d) 0/1 matrix.
@@ -63,20 +53,15 @@ def epsilon_bits(bits, k2: int, mode="mean_all") -> float:
         return 0.0
     if k2 >= m:
         raise ValueError(f"k2 must be at most m-1 = {m - 1}, got {k2}")
-    upacked, inverse, counts = _distinct(bits)
-    # A distinct row's nearest others are its own other copies at distance 0,
-    # then the copies of the next distinct rows in (distance, index) order.
-    # Itself comes first (the only distance 0), and each later row adds at
-    # least one copy, so k2 + 1 distinct rows always hold the k2 nearest.
-    idx, dist = hamming_topk(upacked, upacked, min(k2 + 1, len(counts)))
-    mult = counts[idx]
-    mult[:, 0] -= 1
-    before = np.cumsum(mult, axis=1) - mult
+    packed = pack_bits(bits)
+    first, inverse = unique_rows(packed)
+    # column 0 is a distance-0 copy of the row itself, so the rest are its k2
+    # nearest others
+    _, dist = hamming_topk(packed[first], packed, k2 + 1)
     if mode == "kth_only":
-        kth = (before + mult >= k2).argmax(axis=1)
-        per_row = dist[np.arange(len(dist)), kth]
+        per_row = dist[:, k2]
     else:
-        per_row = (np.clip(k2 - before, 0, mult) * dist).sum(axis=1) / k2
+        per_row = dist[:, 1:].sum(axis=1) / k2
     # the same per-point values, in the same order, as a per-point top-k gives
     return float(per_row[inverse].mean())
 
@@ -85,29 +70,27 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
     """Connected components of the epsilon-threshold Hamming graph over the
     rows of an (m, d) 0/1 matrix.
 
-    Labels are assigned in order of first appearance: the distinct rows come
-    in that order, and the components are numbered as they are seeded. Each
+    Labels are numbered in order of first appearance (`label_codes`). Each
     prototype is the majority vote of its cluster's rows, a tie giving 0.
     """
     bits = bit_matrix(bits)
     if not bits.shape[0]:
         raise ValueError("need at least one converged point")
-    upacked, inverse, _ = _distinct(bits)
-    u = upacked.shape[0]
-
+    packed = pack_bits(bits)
+    first, inverse = unique_rows(packed)
     if epsilon < 1:  # distinct rows are at distance >= 1: no edges
-        comp, ncomp = np.arange(u), u
+        comp = np.arange(len(first))
     else:
-        comp, ncomp = _components(upacked, epsilon)
-    labels = comp[inverse]
+        comp = _components(packed[first], epsilon)
+    labels, ncomp = label_codes(comp[inverse])
     protos = group_majority_bits(bits, labels, ncomp)
     protos.flags.writeable = False
     return ClusterLabeling(labels, protos)
 
 
-def _components(upacked: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:
-    """(component per row, component count) of the epsilon-threshold graph
-    over distinct packed rows, by a BFS from each unreached row in order."""
+def _components(upacked: np.ndarray, epsilon: float) -> np.ndarray:
+    """The component of each row in the epsilon-threshold graph over
+    distinct packed rows, by a BFS from each unreached row in order."""
     u = upacked.shape[0]
     comp = np.full(u, -1, dtype=np.int64)
     ncomp = 0
@@ -123,5 +106,5 @@ def _components(upacked: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:
             frontier = np.flatnonzero(near & (comp == -1))
             comp[frontier] = ncomp
         ncomp += 1
-    return comp, ncomp
+    return comp
 

@@ -109,6 +109,23 @@ class TestCluster:
         assert rc == EXIT_DATA
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo,option", [
+        ("kmodes", ["--k1", "3"]), ("kmodes", ["--k2", "5"]),
+        ("kmodes", ["--jmax", "0"]), ("kmodes", ["--epsilon-mode", "kth_only"]),
+        ("binnnms", ["--k", "2"]), ("binnnms", ["--runs", "5"]),
+        ("binnnms", ["--seed", "0"])], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_option_of_the_other_algo_is_rejected(self, toy, tmp_path, capsys,
+                                                  algo, option):
+        # each was silently ignored, and the command exited 0; a default
+        # value given explicitly is refused too
+        out = tmp_path / "o"
+        rc = main(["cluster", "--data", str(toy), "--algo", algo, *option,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: {option[0]} does not apply to --algo {algo}\n")
+        assert not out.exists()
+
     def test_k1_zero_rejected_outside_sweep(self, toy, tmp_path):
         rc = main(["cluster", "--data", str(toy), "--k1", "0",
                    "--out-dir", str(tmp_path / "o")])

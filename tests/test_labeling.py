@@ -149,8 +149,8 @@ class TestProperties:
 
 
 # Duplicate-heavy point sets: rows drawn from a pool of a few distinct rows,
-# so one distinct row's copies and its k2 nearest others span several
-# multiplicity groups.
+# so a row's k2 nearest others take in its own copies and the copies of
+# several other distinct rows, ties at every distance.
 dup_rows = st.integers(1, 6).flatmap(
     lambda d: st.tuples(
         st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
@@ -169,8 +169,9 @@ class TestMatrixFunctions:
 
     def test_epsilon_across_blocks_with_duplicates(self):
         # 600 rows drawn from 400 distinct 12-bit vectors hold 300 of them,
-        # so each distance block holds 109 queries; k2 = 30 reaches past the
-        # copies of the nearest few distinct rows
+        # so each distance block holds 54 of the 300 distinct queries against
+        # all 600 rows; k2 = 30 reaches past the copies of the nearest few
+        # distinct rows
         rng = np.random.default_rng(3)
         codes = rng.choice(1 << 12, size=400, replace=False)
         pool = (codes[:, None] >> np.arange(12)) & 1
