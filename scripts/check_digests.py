@@ -4,8 +4,9 @@
 For each workload and each seed in perfbench/reference_digests.json, write
 the seed's planted-cluster CSV, run the workload's command in this process
 through `binnnms.cli.main`, and compare the digests of the files it wrote
-with the recorded ones. Exits 1, listing each mismatch, if any differs, and
-2, listing the known workloads, if a named workload has no digests.
+with the recorded ones. Exits 1, listing each mismatch with every artifact
+that differs, if any differs, and 2, listing the known workloads, if a named
+workload has no digests.
 
     python3 scripts/check_digests.py [WORKLOAD ...]
 """
@@ -23,8 +24,16 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from binnnms.cli import main as cli_main  # noqa: E402
-from checks import REFERENCE, artifact_digests, first_difference  # noqa: E402
+from checks import REFERENCE, artifact_digests  # noqa: E402
 from workloads import WORKLOADS, write_planted_csv  # noqa: E402
+
+
+def differences(expected: dict, got: dict) -> str:
+    """Every artifact whose digest differs, in name order, or ""."""
+    return "; ".join(f"{name}: expected {expected.get(name, 'no file')}, "
+                     f"got {got.get(name, 'no file')}"
+                     for name in sorted(set(expected) | set(got))
+                     if expected.get(name) != got.get(name))
 
 
 def main() -> int:
@@ -49,7 +58,7 @@ def main() -> int:
                         contextlib.redirect_stderr(err):
                     rc = cli_main(w.command(data, out))
                 diff = (f"exit {rc}: {err.getvalue().strip()}" if rc else
-                        first_difference(table[name][seed], artifact_digests(out)))
+                        differences(table[name][seed], artifact_digests(out)))
                 checked += 1
                 if diff:
                     mismatches += 1

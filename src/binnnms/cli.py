@@ -30,7 +30,7 @@ from .ingest import (
     write_binary_csv,
 )
 from .kmodes import kmodes_repeated
-from .labeling import EPSILON_MODES, epsilon_bits, label_bits
+from .labeling import EPSILON_MODES, Endpoints
 from .median import group_majority_bits
 from .metrics import label_codes, quantization_error, scores
 
@@ -123,13 +123,13 @@ def _write_prototypes(path: Path, prototypes: np.ndarray) -> None:
 
 # --- binnnms / kmodes pipelines --------------------------------------------
 
-def _endpoints(data: Dataset, k1: int, j_max: int):
-    """(endpoints, the BatchAscent or None): the ascent endpoints of every
-    point, or the points themselves when k1 == 0 (no ascent)."""
+def _endpoints(data: Dataset, k1: int, j_max: int, k2s):
+    """(Endpoints for the k2s, the BatchAscent or None): the ascent endpoints
+    of every point, or the points themselves when k1 == 0 (no ascent)."""
     if k1 == 0:
-        return data.bits, None
+        return Endpoints(data.bits, k2s), None
     ascent = ascend_bits(data, data.bits, k1, j_max)
-    return ascent.endpoints, ascent
+    return Endpoints(ascent.endpoints, k2s), ascent
 
 
 def _truth_codes(data: Dataset) -> np.ndarray | None:
@@ -148,11 +148,12 @@ def _scores(truth, labels) -> dict:
     return {"nmi": round(nmi, 12), "arand": round(arand, 12)}
 
 
-def _cell(data: Dataset, truth, endpoints, k2: int, epsilon_mode: str):
+def _cell(data: Dataset, truth, endpoints: Endpoints, k2: int, epsilon_mode: str):
     """(labeling, values) of the endpoints at the k2 epsilon threshold: one
-    `cluster` run, or one (k1, k2) cell of a `sweep`."""
-    epsilon = epsilon_bits(endpoints, k2, mode=epsilon_mode)
-    labeling = label_bits(endpoints, epsilon)
+    `cluster` run, or one (k1, k2) cell of a `sweep`. The labeling cuts at
+    the exact floor of epsilon; the values hold the float."""
+    epsilon, threshold = endpoints.epsilon(k2, epsilon_mode)
+    labeling = endpoints.labeling(threshold)
     return labeling, {
         "epsilon": epsilon, "num_clusters": labeling.num_clusters,
         "quantization_error": quantization_error(data, labeling.labels,
@@ -181,7 +182,7 @@ def cmd_cluster(args) -> int:
     if args.algo == "binnnms":
         if args.k1 < 1:
             raise ValueError("cluster requires k1 >= 1 (k1=0 exists only in sweep)")
-        endpoints, _ = _endpoints(data, args.k1, args.jmax)
+        endpoints, _ = _endpoints(data, args.k1, args.jmax, [args.k2])
         labeling, metrics = _cell(data, truth, endpoints, args.k2, args.epsilon_mode)
         labels, prototypes = labeling.labels, labeling.prototypes
         metrics.update(algo="binnnms", k1=args.k1, k2=args.k2, jmax=args.jmax,
@@ -271,7 +272,7 @@ def cmd_sweep(args) -> int:
     # only a config error (ValueError) is a status row; others end the command
     for k1 in k1_list:
         try:
-            endpoints, ascent = _endpoints(data, k1, args.jmax)
+            endpoints, ascent = _endpoints(data, k1, args.jmax, k2_list)
         except ValueError as exc:  # the whole k1 column fails
             rows.extend({"k1": k1, "k2": k2, "status": f"error: {exc}"}
                         for k2 in k2_list)

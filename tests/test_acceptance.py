@@ -362,11 +362,15 @@ def _endpoints_ref(rows, k1, j_max):
 def _labeling_ref(rows, ends, k2, mode):
     """(epsilon, labels, prototypes, quantization error) of the endpoints:
     the mean of `epsilon_ref` (in floats, as the labeling tests take it),
-    the components of `partition_ref` at that epsilon numbered by first
-    appearance, each one's `majority_ref` with ties to 0, and the mean
-    distance from each row to its cluster's prototype."""
-    eps = float(np.mean(epsilon_ref(ends, k2, mode)))
-    comp = {i: group for group in partition_ref(ends, eps) for i in group}
+    the components of `partition_ref` at the exact floor of that mean (the
+    float can land one ulp below an integer) numbered by first appearance,
+    each one's `majority_ref` with ties to 0, and the mean distance from
+    each row to its cluster's prototype."""
+    per_point = epsilon_ref(ends, k2, mode)
+    eps = float(np.mean(per_point))
+    scale = 1 if mode == "kth_only" else k2  # each scaled value is an integer
+    floor = sum(round(v * scale) for v in per_point) // (scale * len(ends))
+    comp = {i: group for group in partition_ref(ends, floor) for i in group}
     order = list(dict.fromkeys(comp[i] for i in range(len(ends))))
     labels = [order.index(comp[i]) for i in range(len(ends))]
     protos = [majority_ref([ends[i] for i in sorted(group)]) for group in order]

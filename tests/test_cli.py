@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from binnnms.bga import ascend_bits
+from binnnms.bga import DEFAULT_J_MAX, ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.cli import (
     EXIT_DATA,
@@ -21,8 +21,15 @@ from binnnms.cli import (
     _write_prototypes,
     main,
 )
-from binnnms.ingest import UCI_LOADERS, Dataset, load_uci, write_binary_csv
-from binnnms.metrics import label_codes
+from binnnms.ingest import (
+    UCI_LOADERS,
+    Dataset,
+    load_binary_csv,
+    load_uci,
+    write_binary_csv,
+)
+from binnnms.labeling import epsilon_bits, label_bits
+from binnnms.metrics import label_codes, quantization_error, scores
 from conftest import ROOT, trajectories
 from oracles import majority_ref
 from test_acceptance import _raw_uci_lines
@@ -145,6 +152,16 @@ class TestCluster:
         assert metrics["epsilon"] == 1.0
         assert metrics["num_clusters"] == 1  # the threshold graph at 1 is connected
 
+    def test_integer_threshold_keeps_its_edges(self, tmp_path):
+        # the printed epsilon is still one ulp below 1 (the xfail above), but
+        # the labeling cuts at the exact floor of the mean distance, 1
+        data = tmp_path / "eps.csv"
+        data.write_text("0,0,0,1\n0,0,0,0\n0,0,1,0\n0,0,0,0\n")
+        out = tmp_path / "out"
+        assert main(["cluster", "--data", str(data), "--k1", "2", "--k2", "3",
+                     "--jmax", "1", "--out-dir", str(out)]) == EXIT_OK
+        assert json.loads((out / "metrics.json").read_text())["num_clusters"] == 1
+
     def test_deterministic_outputs(self, two_blobs, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -245,15 +262,52 @@ class TestSweep:
                                             monkeypatch, capsys):
         # only a config error (ValueError) becomes a status row; a fault of
         # any other kind is a runtime failure, not a row and exit 0
-        def broken(bits, epsilon):
+        def broken(endpoints, epsilon):
             raise RuntimeError("labeling broke")
 
-        monkeypatch.setattr("binnnms.cli.label_bits", broken)
+        monkeypatch.setattr("binnnms.labeling.Endpoints.labeling", broken)
         rc = main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
                    "--k1", "0,6", "--k2", "2", "--out-dir", str(tmp_path / "s")])
         assert rc == EXIT_RUNTIME
         assert capsys.readouterr().err == "runtime failure: labeling broke\n"
         assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
+    def test_each_cell_is_a_fresh_labeling(self, two_blobs, tmp_path, mode):
+        # a k1 column shares one dedupe, one top-k and one tree across its
+        # cells; each cell must still equal epsilon_bits and label_bits run
+        # alone on that column's endpoints, k2 = 30 > m - 1 failing alone
+        k1s, k2s = (0, 6), (1, 12, 3, 30)
+        out = tmp_path / "s"
+        assert main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
+                     "--k1", ",".join(map(str, k1s)), "--k2", ",".join(map(str, k2s)),
+                     "--epsilon-mode", mode, "--out-dir", str(out)]) == EXIT_OK
+        with (out / "sweep.csv").open() as f:
+            cells = list(csv.DictReader(f))
+        data = load_binary_csv(two_blobs, label_column=-1)
+        truth = label_codes(data.truth_labels)[0]
+        want, merged = [], False
+        for k1 in k1s:
+            ends = (data.bits if k1 == 0 else
+                    ascend_bits(data, data.bits, k1, DEFAULT_J_MAX).endpoints)
+            for k2 in k2s:
+                row = dict.fromkeys(cells[0], "") | {"k1": str(k1), "k2": str(k2)}
+                try:
+                    epsilon = epsilon_bits(ends, k2, mode)
+                except ValueError as exc:
+                    want.append(row | {"status": f"error: {exc}"})
+                    continue
+                lab = label_bits(ends, epsilon)
+                nmi, arand = scores(truth, lab.labels)
+                want.append(row | {
+                    "epsilon": str(epsilon), "num_clusters": str(lab.num_clusters),
+                    "nmi": str(round(nmi, 12)), "arand": str(round(arand, 12)),
+                    "quant_error_final": str(quantization_error(
+                        data, lab.labels, lab.prototypes)),
+                    "status": "ok"})
+                merged |= lab.num_clusters < len(np.unique(ends, axis=0))
+        assert cells == want
+        assert merged  # some cell cuts its column's tree
 
     def test_artifact_bytes(self, tmp_path):
         # k1 = -1 and k1 = 99 > n fail their whole columns, k2 = 9 > m - 1

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms import labeling
-from binnnms.labeling import epsilon_bits, label_bits
+from binnnms import binvec, labeling
+from binnnms.labeling import Endpoints, epsilon_bits, label_bits
 from oracles import epsilon_ref, majority_ref, partition_of_labels, partition_ref
 
 
@@ -192,12 +192,14 @@ class TestMatrixFunctions:
             members = [rows[i] for i in np.flatnonzero(lab.labels == cid)]
             assert lab.prototypes[cid].tolist() == majority_ref(members)
 
-    def test_labeling_matches_reference_across_blocks(self):
+    def test_labeling_matches_reference_across_blocks(self, monkeypatch):
         # 256-bit rows: the zero row, 128 unit rows e_i and 128 pendants
-        # e_i + e_(128+i), plus their complements, are 514 distinct rows and
-        # 63 queries per distance block. At epsilon 1 the BFS from the zero
-        # row has all 128 unit rows in one frontier, which spans three
-        # blocks, and each pendant is reached only through its own unit row.
+        # e_i + e_(128+i), plus their complements, are 514 distinct rows.
+        # Each tree step is one kernel call from the rows not yet in the tree
+        # to one row, so a 100-query block makes the first steps span six
+        # blocks. At epsilon 1 each pendant joins only through its own unit
+        # row, and every unit row only through the zero row.
+        monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
         eye = np.eye(256, dtype=np.uint8)
         half = np.vstack([np.zeros((1, 256), np.uint8), eye[:128],
                           eye[:128] + eye[128:]])
@@ -230,3 +232,62 @@ class TestMatrixFunctions:
             epsilon_bits(np.array([0, 1, 1]), 1)
         with pytest.raises(ValueError):
             label_bits(np.zeros((0, 3), dtype=np.uint8), 1)
+
+
+class TestEndpoints:
+    @given(dup_rows, st.sampled_from([3, binvec.BLOCK_BYTES // 8]), st.data())
+    @settings(max_examples=200)
+    def test_one_tree_cut_at_many_thresholds(self, rows, block, data):
+        # one object, so every cut after the first reuses its tree; the
+        # thresholds come in random order, repeats and fractions included,
+        # and 3-query blocks split each tree step across blocks
+        d = len(rows[0])
+        cuts = data.draw(st.lists(st.one_of(st.integers(0, d + 1),
+                                            st.floats(0, d + 1)),
+                                  min_size=1, max_size=8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binvec, "BLOCK_BYTES", 8 * block)
+            ends = Endpoints(np.array(rows))
+            labs = [ends.labeling(eps) for eps in cuts]
+        for eps, lab in zip(cuts, labs):
+            assert partition_of_labels(lab.labels.tolist()) == partition_ref(rows, eps)
+            first_seen = list(dict.fromkeys(lab.labels.tolist()))
+            assert first_seen == list(range(lab.num_clusters))
+            for cid in range(lab.num_clusters):
+                members = [rows[i] for i in np.flatnonzero(lab.labels == cid)]
+                assert lab.prototypes[cid].tolist() == majority_ref(members)
+
+    @given(dup_rows, st.sampled_from(["mean_all", "kth_only"]), st.data())
+    @settings(max_examples=200)
+    def test_every_epsilon_from_one_top_k(self, rows, mode, data):
+        # each k2 reads a prefix of the one top-k, whatever the order asked;
+        # a k2 the object was not told of widens the top-k
+        k2s = data.draw(st.lists(st.integers(1, len(rows) - 1), min_size=1,
+                                 max_size=6))
+        ends = Endpoints(np.array(rows), k2s if data.draw(st.booleans()) else ())
+        for k2 in k2s:
+            want = epsilon_ref(rows, k2, mode)
+            total = sum(want) * (1 if mode == "kth_only" else k2)
+            count = len(rows) * (1 if mode == "kth_only" else k2)
+            assert ends.epsilon(k2, mode) == (float(np.mean(want)),
+                                              round(total) // count)
+
+    def test_a_column_makes_one_top_k_and_one_tree(self, monkeypatch):
+        calls = {"topk": 0, "tree": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(labeling, "hamming_topk",
+                            counted("topk", labeling.hamming_topk))
+        monkeypatch.setattr(labeling, "_spanning_tree",
+                            counted("tree", labeling._spanning_tree))
+        rows = np.random.default_rng(2).integers(0, 2, size=(60, 8))
+        ends = Endpoints(rows, range(1, 10))
+        for k2 in range(1, 10):
+            for mode in ("mean_all", "kth_only"):
+                ends.labeling(ends.epsilon(k2, mode)[1])
+        assert calls == {"topk": 1, "tree": 1}
