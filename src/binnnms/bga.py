@@ -83,7 +83,7 @@ def ascend_bits(data: Dataset, x0: np.ndarray, k1: int,
     batched kNN (`hamming_topk`) and majority vote, and retires the
     candidates that stopped.
     """
-    # a failed sweep column writes the first of these messages to sweep.csv
+    # the CLI checks 0 <= k1 <= n before it calls; the k1 checks serve the library
     if k1 < 1:
         raise ValueError("k1 must be positive")
     if j_max < 1:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bga import DEFAULT_J_MAX, ascend_bits
+from .bga import DEFAULT_J_MAX, MAX_ITERATIONS, TERMINATIONS, ascend_bits
 from .ingest import (
     UCI_LOADERS,
     DataFormatError,
@@ -79,17 +79,17 @@ def _load_dataset(args) -> Dataset:
 
 
 def _parse_int_list(spec: str) -> list[int]:
-    """Comma lists and inclusive ranges: "2,4,8" or "2..30" or a mix."""
+    """Comma lists and inclusive ranges, "2,4,8" or "2..30" or a mix: the
+    argparse type of a grid, so a bad or empty one is a usage error."""
     out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in filter(None, map(str.strip, spec.split(","))):
+            lo, dots, hi = part.partition("..")
+            out.extend(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        out = []  # one bad part spoils the grid
     if not out:
-        raise ValueError(f"empty integer list {spec!r}")
+        raise argparse.ArgumentTypeError(f"invalid or empty integer grid {spec!r}")
     return out
 
 
@@ -124,11 +124,16 @@ def _write_prototypes(path: Path, prototypes: np.ndarray) -> None:
 # --- binnnms / kmodes pipelines --------------------------------------------
 
 def _endpoints(data: Dataset, k1: int, j_max: int, k2s):
-    """(Endpoints for the k2s, the BatchAscent or None): the ascent endpoints
-    of every point, or the points themselves when k1 == 0 (no ascent)."""
+    """(Endpoints for the k2s, the BatchAscent or None): each point's ascent
+    endpoint, or at k1 = 0 the point itself; j_max stops warn on stderr."""
+    if not 0 <= k1 <= data.n:
+        raise ValueError(f"k1 must be in [0, {data.n}], got {k1}")
     if k1 == 0:
         return Endpoints(data.bits, k2s), None
     ascent = ascend_bits(data, data.bits, k1, j_max)
+    if stopped := np.count_nonzero(ascent.ends == TERMINATIONS.index(MAX_ITERATIONS)):
+        print(f"warning: k1 = {k1}: {stopped} of {data.n} ascents stopped at "
+              f"j_max = {j_max}", file=sys.stderr)
     return Endpoints(ascent.endpoints, k2s), ascent
 
 
@@ -180,8 +185,6 @@ def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     truth = _truth_codes(data)
     if args.algo == "binnnms":
-        if args.k1 < 1:
-            raise ValueError("cluster requires k1 >= 1 (k1=0 exists only in sweep)")
         endpoints, _ = _endpoints(data, args.k1, args.jmax, [args.k2])
         labeling, metrics = _cell(data, truth, endpoints, args.k2, args.epsilon_mode)
         labels, prototypes = labeling.labels, labeling.prototypes
@@ -263,21 +266,18 @@ def _write_csv(path: Path, fields: list[str], rows) -> None:
 
 def cmd_sweep(args) -> int:
     data = _load_dataset(args)
-    k1_list = _parse_int_list(args.k1)
-    k2_list = _parse_int_list(args.k2)
     with _output("--out-dir", args.out_dir) as out:
         out.mkdir(parents=True, exist_ok=True)
     truth = _truth_codes(data)
     rows, trajectories = [], {}
     # only a config error (ValueError) is a status row; others end the command
-    for k1 in k1_list:
+    for k1 in args.k1:
         try:
-            endpoints, ascent = _endpoints(data, k1, args.jmax, k2_list)
+            endpoints, ascent = _endpoints(data, k1, args.jmax, args.k2)
         except ValueError as exc:  # the whole k1 column fails
-            rows.extend({"k1": k1, "k2": k2, "status": f"error: {exc}"}
-                        for k2 in k2_list)
+            rows.extend({"k1": k1, "k2": k2, "status": f"error: {exc}"} for k2 in args.k2)
             continue
-        for k2 in k2_list:
+        for k2 in args.k2:
             try:
                 _, cell = _cell(data, truth, endpoints, k2, args.epsilon_mode)
             except ValueError as exc:
@@ -293,7 +293,7 @@ def cmd_sweep(args) -> int:
     for k1, traj in trajectories.items():
         _write_csv(out / f"trajectory_k1={k1}.csv",
                    ["iteration", "error_vs_target", "error_vs_intermediate"], traj)
-    print(f"sweep: {len(k1_list) * len(k2_list)} cells -> {out / 'sweep.csv'}")
+    print(f"sweep: {len(rows)} cells -> {out / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -373,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep over (k1, k2)")
     _add_data_opts(p)
     _add_run_opts(p)
-    p.add_argument("--k1", required=True,
+    p.add_argument("--k1", required=True, type=_parse_int_list,
                    help='k1 grid, e.g. "0,2..30" (0 = skip gradient ascent)')
-    p.add_argument("--k2", required=True, help='k2 grid, e.g. "1..20"')
+    p.add_argument("--k2", required=True, type=_parse_int_list, help='k2 grid, e.g. "1..20"')
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="score predicted labels against truth")
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # DimensionMismatch is one too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

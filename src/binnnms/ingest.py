@@ -7,7 +7,6 @@ Datasets themselves are never bundled; see scripts/fetch_datasets.py.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 from collections import Counter
@@ -339,11 +338,23 @@ def parse_schema_file(path) -> FeatureSchema:
 
 
 def write_binary_csv(ds: Dataset, path) -> None:
-    rows = ds.bits.tolist()
+    """One line a row, ended by a line feed alone: its bits as 0/1 cells
+    joined by ",", then its truth label, if any, as `str` gives it. These are
+    the very cells the readers split, so a file whose labels are printable
+    ASCII without spaces reads back on the fast path (`_plain_bits`). A label
+    the readers would split otherwise, one holding ",", a line break or outer
+    whitespace, is a DataFormatError naming it."""
+    lines = [",".join(map(str, row)) for row in ds.bits.tolist()]
     if ds.truth_labels is not None:
-        rows = [row + [str(label)] for row, label in zip(rows, ds.truth_labels)]
+        labels = [str(label) for label in ds.truth_labels]
+        for r, label in enumerate(labels):
+            if "," in label or label != label.strip() or len(label.splitlines()) > 1:
+                raise DataFormatError(
+                    f"{path}: row {r}: label {label!r} cannot be one cell; it holds "
+                    "',', a line break or outer whitespace")
+        lines = [f"{line},{label}" for line, label in zip(lines, labels)]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def dataset_summary(ds: Dataset) -> dict:

@@ -52,6 +52,8 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
         raise ValueError(f"k must be in [1, {data.n}], got {k}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if distinct is None:
         distinct = data.bits[unique_rows(data.packed)[0]]
     if k > distinct.shape[0]:

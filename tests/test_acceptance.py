@@ -339,8 +339,9 @@ def test_uci_helpers_run_offline(tmp_path, name):
 def _tie_heavy_runs(draw):
     """(rows, truth labels, k1, k2, j_max, epsilon mode): 2 to 6 distinct
     rows of few bits, some repeated, in any order, so that kNN and vote ties
-    are common and epsilon mostly reaches 1 (the BFS then merges); k1 is
-    often even or n, and j_max small enough to stop some ascents."""
+    are common and epsilon mostly reaches 1 (the labeling then merges); k1 may
+    be 0 (no ascent) and is often even or n, and j_max small enough to stop
+    some ascents."""
     d = draw(st.one_of(st.integers(1, 4), st.integers(1, 12)))
     distinct = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
                              min_size=2, max_size=6, unique_by=tuple))
@@ -348,7 +349,7 @@ def _tie_heavy_runs(draw):
     rows = draw(st.permutations(distinct + copies))
     n = len(rows)
     truth = [draw(st.sampled_from("ab")) for _ in range(n)]
-    k1 = min(n, draw(st.sampled_from([2, 4]) | st.integers(1, n) | st.just(n)))
+    k1 = min(n, draw(st.sampled_from([2, 4]) | st.integers(0, n) | st.just(n)))
     k2 = draw(st.integers(1, n - 1) | st.just(n - 1))
     return (rows, truth, k1, k2, draw(st.integers(1, 3)),
             draw(st.sampled_from(["mean_all", "kth_only"])))
@@ -428,7 +429,7 @@ def test_c13_sweep_matches_composed_oracles(tmp_path, case):
         ends = None if a > n else _endpoints_ref(rows, a, j_max)
         for b in k2s:
             if ends is None:
-                want.append([a, b, f"error: k1 must be in [1, {n}], got {a}"])
+                want.append([a, b, f"error: k1 must be in [0, {n}], got {a}"])
             elif b < 1:
                 want.append([a, b, "error: k2 must be positive"])
             elif b >= n:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from binnnms import ingest
 from binnnms.bga import DEFAULT_J_MAX, ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.cli import (
@@ -28,7 +29,7 @@ from binnnms.ingest import (
     load_uci,
     write_binary_csv,
 )
-from binnnms.labeling import epsilon_bits, label_bits
+from binnnms.labeling import EPSILON_MODES, epsilon_bits, label_bits
 from binnnms.metrics import label_codes, quantization_error, scores
 from conftest import ROOT, trajectories
 from oracles import majority_ref
@@ -133,10 +134,18 @@ class TestCluster:
             f"config error: {option[0]} does not apply to --algo {algo}\n")
         assert not out.exists()
 
-    def test_k1_zero_rejected_outside_sweep(self, toy, tmp_path):
-        rc = main(["cluster", "--data", str(toy), "--k1", "0",
+    @pytest.mark.parametrize("k1", [-1, 5])
+    def test_k1_outside_0_to_n_is_config_error(self, toy, tmp_path, capsys, k1):
+        rc = main(["cluster", "--data", str(toy), f"--k1={k1}",
                    "--out-dir", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: k1 must be in [0, 4], got {k1}\n"
+
+    def test_kmodes_negative_seed_names_its_option(self, toy, tmp_path, capsys):
+        rc = main(["cluster", "--data", str(toy), "--algo", "kmodes", "--seed=-1",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
 
     @pytest.mark.xfail(strict=True, reason=(
         "epsilon_bits averages float per-row means, so an integer epsilon can "
@@ -192,34 +201,76 @@ def test_binary_input_builds_no_binary_vector(two_blobs, tmp_path, monkeypatch):
         assert sorted(p.name for p in out.iterdir()) == written
 
 
+@st.composite
+def _grid_runs(draw):
+    """(rows, truth labels, k1 grid, k2 grid, j_max, epsilon mode): 2 to 10
+    labeled rows, and grids whose values reach one past each valid range,
+    so that whole columns and single cells fail as well as run."""
+    n, d = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    truth = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    k1s = draw(st.lists(st.sampled_from([-1, *range(n + 2)]), min_size=1, max_size=3))
+    k2s = draw(st.lists(st.integers(0, n), min_size=1, max_size=3))
+    return (rows, truth, k1s, k2s, draw(st.sampled_from([0, 1, 50])),
+            draw(st.sampled_from(EPSILON_MODES)))
+
+
 class TestSweep:
-    def test_grid_and_consistency(self, two_blobs, tmp_path):
-        for mode in ("mean_all", "kth_only"):
-            sweep_out = tmp_path / mode / "sweep"
-            rc = main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
-                       "--k1", "0,6", "--k2", "2,3", "--epsilon-mode", mode,
-                       "--out-dir", str(sweep_out)])
-            assert rc == EXIT_OK
-            with (sweep_out / "sweep.csv").open() as f:
-                cells = list(csv.DictReader(f))
-            assert len(cells) == 4  # the 2x2 grid
-            # each cell with k1 >= 1 is exactly a standalone run with its
-            # (k1, k2): both files hold the same floats, so they parse equal
-            for cell in (c for c in cells if int(c["k1"]) >= 1):
-                solo_out = tmp_path / mode / f"solo{cell['k1']}-{cell['k2']}"
-                assert main(["cluster", "--data", str(two_blobs),
-                             "--label-column", "-1", "--k1", cell["k1"],
-                             "--k2", cell["k2"], "--epsilon-mode", mode,
-                             "--out-dir", str(solo_out)]) == EXIT_OK
-                metrics = json.loads((solo_out / "metrics.json").read_text())
-                assert cell["status"] == "ok"
-                assert {"epsilon": float(cell["epsilon"]),
-                        "num_clusters": int(cell["num_clusters"]),
-                        "nmi": float(cell["nmi"]), "arand": float(cell["arand"]),
-                        "quantization_error": float(cell["quant_error_final"]),
-                        } == {key: metrics[key] for key in (
-                            "epsilon", "num_clusters", "nmi", "arand",
-                            "quantization_error")}
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_grid_runs())
+    def test_grid_and_consistency(self, tmp_path, capsys, case):
+        # every sweep.csv row is what `cluster` does with that cell's options:
+        # an `error: M` row is `config error: M` and exit 1; an `ok` row is
+        # exit 0 with the row's values in metrics.json, which holds the same
+        # floats, so both parse equal
+        rows, truth, k1s, k2s, j_max, mode = case
+        data = tmp_path / "rows.csv"
+        data.write_text("".join(",".join(map(str, row)) + f",{t}\n"
+                                for row, t in zip(rows, truth)))
+        options = ["--data", str(data), "--label-column", "-1", "--jmax", str(j_max),
+                   "--epsilon-mode", mode]
+        assert main(["sweep", *options, f"--k1={','.join(map(str, k1s))}",
+                     f"--k2={','.join(map(str, k2s))}",
+                     "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
+        with (tmp_path / "sweep" / "sweep.csv").open() as f:
+            cells = list(csv.DictReader(f))
+        assert [(int(c["k1"]), int(c["k2"])) for c in cells] == [
+            (k1, k2) for k1 in k1s for k2 in k2s]
+        for cell in cells:
+            capsys.readouterr()
+            solo_out = tmp_path / "solo"
+            rc = main(["cluster", *options, f"--k1={cell['k1']}", f"--k2={cell['k2']}",
+                       "--out-dir", str(solo_out)])
+            if cell["status"] != "ok":
+                assert cell["status"].startswith("error: "), cell
+                assert rc == EXIT_USAGE, cell
+                message = cell["status"].removeprefix("error: ")
+                assert capsys.readouterr().err.splitlines()[-1] == (
+                    f"config error: {message}"), cell
+                continue
+            assert rc == EXIT_OK, cell
+            metrics = json.loads((solo_out / "metrics.json").read_text())
+            assert {"epsilon": float(cell["epsilon"]),
+                    "num_clusters": int(cell["num_clusters"]),
+                    "nmi": float(cell["nmi"]), "arand": float(cell["arand"]),
+                    "quantization_error": float(cell["quant_error_final"]),
+                    } == {key: metrics[key] for key in (
+                        "epsilon", "num_clusters", "nmi", "arand",
+                        "quantization_error")}, cell
+
+    @pytest.mark.parametrize("flag,grid", [
+        ("--k1", "1..2..3"), ("--k2", "x"), ("--k1", "2.."), ("--k2", ","), ("--k2", "5..2")])
+    def test_bad_grid_is_usage_error_naming_its_flag(self, toy, tmp_path, capsys,
+                                                     flag, grid):
+        grids = {"--k1": "1", "--k2": "1"} | {flag: grid}
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--data", str(toy), *(f"{f}={g}" for f, g in grids.items()),
+                  "--out-dir", str(tmp_path / "s")])
+        assert exit_.value.code == EXIT_USAGE
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_k1_zero_is_labeling_only(self, two_blobs, tmp_path):
         out = tmp_path / "s"
@@ -321,8 +372,8 @@ class TestSweep:
                    "--k1=-1,0,1,99", "--k2", "1,2,9", "--out-dir", str(out)])
         assert rc == EXIT_OK
         k2_error = ',,,,,,"error: k2 must be at most m-1 = 7, got 9"\n'
-        k1_error = ',,,,,,"error: k1 must be in [1, 8], got 99"\n'
-        k1_sign_error = ",,,,,,error: k1 must be positive\n"
+        k1_error = ',,,,,,"error: k1 must be in [0, 8], got 99"\n'
+        k1_sign_error = ',,,,,,"error: k1 must be in [0, 8], got -1"\n'
         text = (out / "sweep.csv").read_text()
         assert text == (
             "k1,k2,epsilon,num_clusters,nmi,arand,quant_error_final,status\n"
@@ -342,6 +393,35 @@ class TestSweep:
             "1,0.75,0.75\n")
         assert sorted(p.name for p in out.iterdir()) == [
             "sweep.csv", "trajectory_k1=1.csv"]
+
+
+class TestJmaxWarning:
+    # on the toy, k1 = 4 moves 110, 101 and 011 to 111 in their first step,
+    # and 111 is a fixed point
+    def test_cluster_and_sweep_say_when_ascents_stop_at_jmax(self, toy, tmp_path,
+                                                             capsys):
+        warning = "warning: k1 = 4: 3 of 4 ascents stopped at j_max = 1\n"
+        runs = {"cluster": ["cluster", "--k1", "4", "--k2", "1"],
+                "sweep": ["sweep", "--k1", "0,4", "--k2", "1"]}
+        for name, argv in runs.items():
+            rc = main([*argv, "--data", str(toy), "--jmax", "1",
+                       "--out-dir", str(tmp_path / name / "j1")])
+            assert rc == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err.startswith(warning) and captured.err.count("warning") == 1
+            assert "warning" not in captured.out
+            # the second step finds every fixed point
+            assert main([*argv, "--data", str(toy), "--jmax", "2",
+                         "--out-dir", str(tmp_path / name / "j2")]) == EXIT_OK
+            assert "warning" not in capsys.readouterr().err
+
+    def test_default_jmax_on_planted_data_is_silent(self, two_blobs, tmp_path, capsys):
+        data = ["--data", str(two_blobs), "--label-column", "-1"]
+        assert main(["cluster", *data, "--k1", "6", "--k2", "2",
+                     "--out-dir", str(tmp_path / "c")]) == EXIT_OK
+        assert main(["sweep", *data, "--k1", "0,6,12", "--k2", "2",
+                     "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestTrajectoryErrors:
@@ -494,6 +574,37 @@ class TestEncode:
         write_binary_csv(load_uci(name, raw), want)
         assert out.read_bytes() == want.read_bytes()
 
+
+    def test_output_reads_back_on_the_fast_path(self, tmp_path):
+        # "\r\n" line ends sent every encoded file to the general reader
+        schema = tmp_path / "s.schema"
+        schema.write_text("c categorical disjunctive a,b,c\n")
+        data = tmp_path / "d.csv"
+        data.write_text("a,x\nb,y\nc,x\n")
+        out = tmp_path / "o.csv"
+        assert main(["encode", "--data", str(data), "--schema", str(schema),
+                     "--label-column", "-1", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == b"1,0,0,x\n0,1,0,y\n0,0,1,x\n"
+        plain = ingest._plain_bits(out.read_bytes(), None, -1)
+        assert plain is not None
+        ds = load_binary_csv(out, label_column=-1)
+        assert plain[0].tolist() == ds.bits.tolist() == np.eye(3).tolist()
+        assert plain[1] == ds.truth_labels == ["x", "y", "x"]
+
+    def test_label_that_cannot_be_one_cell_is_data_error(self, tmp_path, capsys):
+        # a quoted "x,y" label made `cluster` on the encoded file fail with
+        # a ragged row
+        schema = tmp_path / "s.schema"
+        schema.write_text("c categorical disjunctive a,b\n")
+        data = tmp_path / "d.csv"
+        data.write_text("a;x\nb;x,y\n")
+        out = tmp_path / "o.csv"
+        rc = main(["encode", "--data", str(data), "--schema", str(schema),
+                   "--delimiter", ";", "--label-column", "-1", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: {out}: row 1: label 'x,y' cannot be one cell")
+        assert not out.exists()
 
     def test_rejected_schema_line_is_data_error(self, tmp_path, capsys):
         # it exited 1 as a config error that named no file or line

@@ -170,13 +170,40 @@ class TestBinaryCsv:
         assert ds.truth_labels == again.truth_labels
 
     def test_writer_bytes(self, tmp_path):
-        # the csv module's default "\r\n" line ends; labels go through str
+        # "\n" line ends and no quoting, as the readers split a row; labels
+        # go through str
         out = tmp_path / "b.csv"
         bits = np.array([[0, 1, 1], [1, 0, 0]])
-        write_binary_csv(Dataset(bits, truth_labels=["x,y", 3]), out)
-        assert out.read_bytes() == b'0,1,1,"x,y"\r\n1,0,0,3\r\n'
+        write_binary_csv(Dataset(bits, truth_labels=['"x y"', 3]), out)
+        assert out.read_bytes() == b'0,1,1,"x y"\n1,0,0,3\n'
         write_binary_csv(Dataset(bits), out)
-        assert out.read_bytes() == b"0,1,1\r\n1,0,0\r\n"
+        assert out.read_bytes() == b"0,1,1\n1,0,0\n"
+
+    @pytest.mark.parametrize("label", ["x,y", "a\nb", "a\rb", "a\u2028b", " a", "a\t"])
+    def test_label_the_readers_would_split_is_data_error(self, tmp_path, label):
+        # a quoted "x,y" was read back as two cells: a ragged row
+        out = tmp_path / "b.csv"
+        with pytest.raises(DataFormatError) as exc:
+            write_binary_csv(Dataset(np.eye(2), truth_labels=["a", label]), out)
+        assert str(exc.value).startswith(f"{out}: row 1: label {label!r} cannot be one cell")
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(labels=st.lists(st.text(st.characters(codec="utf-8"), max_size=3),
+                           min_size=1, max_size=4))
+    def test_written_labels_read_back(self, tmp_path, labels):
+        out = tmp_path / "b.csv"
+        ds = Dataset(np.ones((len(labels), 2)), truth_labels=labels)
+        try:
+            write_binary_csv(ds, out)
+        except DataFormatError:
+            assert any("," in lab or lab != lab.strip() or len(lab.splitlines()) > 1
+                       for lab in labels)
+            return
+        again = load_binary_csv(out, label_column=-1)
+        assert again.truth_labels == labels
+        assert again.bits.tolist() == ds.bits.tolist()
 
 
 @st.composite

@@ -66,6 +66,14 @@ class TestKModesRun:
             with pytest.raises(ValueError):
                 kmodes_repeated(ds, 3, runs=2, max_iter=max_iter)
 
+    def test_negative_seed_rejected(self):
+        # numpy's own message would name no seed
+        ds = dataset(["01", "10", "11"])
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            kmodes_run(ds, 2, seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            kmodes_repeated(ds, 2, runs=3, base_seed=-1)
+
     def test_k_exceeds_distinct_points(self):
         ds = dataset(["01", "01", "10"])
         with pytest.raises(ValueError):
