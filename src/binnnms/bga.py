@@ -29,10 +29,6 @@ from .binvec import (
 )
 from .ingest import Dataset
 
-FIXED_POINT = "fixed_point"
-MAX_ITERATIONS = "max_iterations"
-TERMINATIONS = (FIXED_POINT, MAX_ITERATIONS)  # BatchAscent.ends order
-
 DEFAULT_J_MAX = 50
 
 
@@ -59,13 +55,14 @@ class BatchAscent:
     """The ascents of every row of a candidate bit matrix, as matrices.
 
     `rounds[j]` is (ids, bits): the ids of the candidates still active at
-    step j + 1 and their (len(ids), d) iterates x_{j+1}. `ends` holds one
-    index into TERMINATIONS per candidate; `endpoints` is the (m, d) matrix
-    of last iterates. Ascents compare (and hash) by identity.
+    step j + 1 and their (len(ids), d) iterates x_{j+1}. `at_j_max` is True
+    for each candidate that stopped at j_max rather than at a fixed point;
+    `endpoints` is the (m, d) matrix of last iterates. Ascents compare (and
+    hash) by identity.
     """
 
     rounds: list[tuple[np.ndarray, np.ndarray]]
-    ends: np.ndarray
+    at_j_max: np.ndarray
     endpoints: np.ndarray
 
 
@@ -74,30 +71,27 @@ def ascend_bits(data: Dataset, x0: np.ndarray, k1: int,
     """The ascent from every row of the (m, d) 0/1 matrix x0.
 
     Each ascent iterates the median shift until a fixed point or j_max
-    steps (it cannot cycle; see the module docstring). It always takes at
-    least one step; j_max counts total steps including the first.
-    Candidates may coincide with the dataset but need not.
+    steps (it cannot cycle; see the module docstring); j_max counts total
+    steps including the first. k1 ranges over [0, n]: at k1 = 0 no ascent
+    takes a step, whatever j_max, so the endpoints are x0 itself (the
+    no-ascent baseline). Candidates may coincide with the dataset but need
+    not.
 
     The ascents run together in rounds over one bit matrix of the active
     iterates. Each round dedupes them, steps every distinct iterate with one
     batched kNN (`hamming_topk`) and majority vote, and retires the
     candidates that stopped.
     """
-    # the CLI checks 0 <= k1 <= n before it calls; the k1 checks serve the library
-    if k1 < 1:
-        raise ValueError("k1 must be positive")
-    if j_max < 1:
+    if not 0 <= k1 <= data.n:
+        raise ValueError(f"k1 must be in [0, {data.n}], got {k1}")
+    if k1 and j_max < 1:
         raise ValueError("j_max must be at least 1")
     cur = bit_matrix(x0)
     if cur.shape[1] != data.d:
         raise DimensionMismatch(f"candidate dim {cur.shape[1]} != dataset dim {data.d}")
-    if k1 > data.n:
-        raise ValueError(f"k1 must be in [1, {data.n}], got {k1}")
-    m = cur.shape[0]
     endpoints = cur.copy()
-    ends = np.full(m, 1)  # indices into TERMINATIONS
     rounds = []
-    active = np.arange(m)
+    active = np.arange(len(cur) if k1 else 0)
     for _ in range(j_max):
         if not active.size:
             break
@@ -107,6 +101,7 @@ def ascend_bits(data: Dataset, x0: np.ndarray, k1: int,
         rounds.append((active, nxt))
         endpoints[active] = nxt
         going = (nxt != cur).any(axis=1)
-        ends[active[~going]] = 0
         active, cur = active[going], nxt[going]
-    return BatchAscent(rounds, ends, endpoints)
+    at_j_max = np.zeros(len(endpoints), dtype=bool)
+    at_j_max[active] = True
+    return BatchAscent(rounds, at_j_max, endpoints)

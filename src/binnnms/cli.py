@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bga import DEFAULT_J_MAX, MAX_ITERATIONS, TERMINATIONS, ascend_bits
+from .bga import DEFAULT_J_MAX, ascend_bits
 from .ingest import (
     UCI_LOADERS,
     DataFormatError,
@@ -124,14 +124,10 @@ def _write_prototypes(path: Path, prototypes: np.ndarray) -> None:
 # --- binnnms / kmodes pipelines --------------------------------------------
 
 def _endpoints(data: Dataset, k1: int, j_max: int, k2s):
-    """(Endpoints for the k2s, the BatchAscent or None): each point's ascent
+    """(Endpoints for the k2s, the BatchAscent): each point's ascent
     endpoint, or at k1 = 0 the point itself; j_max stops warn on stderr."""
-    if not 0 <= k1 <= data.n:
-        raise ValueError(f"k1 must be in [0, {data.n}], got {k1}")
-    if k1 == 0:
-        return Endpoints(data.bits, k2s), None
     ascent = ascend_bits(data, data.bits, k1, j_max)
-    if stopped := np.count_nonzero(ascent.ends == TERMINATIONS.index(MAX_ITERATIONS)):
+    if stopped := np.count_nonzero(ascent.at_j_max):
         print(f"warning: k1 = {k1}: {stopped} of {data.n} ascents stopped at "
               f"j_max = {j_max}", file=sys.stderr)
     return Endpoints(ascent.endpoints, k2s), ascent
@@ -285,7 +281,7 @@ def cmd_sweep(args) -> int:
             else:
                 cell.update(quant_error_final=cell["quantization_error"], status="ok")
             rows.append({"k1": k1, "k2": k2, **cell})
-        if ascent is not None and truth is not None:
+        if ascent.rounds and truth is not None:
             trajectories[k1] = _trajectory_errors(data, truth, ascent.rounds)
     _write_csv(out / "sweep.csv",
                ["k1", "k2", "epsilon", "num_clusters", "nmi", "arand",

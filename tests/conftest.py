@@ -18,13 +18,12 @@ def trajectories(ascent, x0):
     """Per candidate row of x0, (its iterates x_0 .. x_J as lists, its
     termination name), rebuilt from the round matrices of the `BatchAscent`
     that `ascend_bits` returned for x0: the pair `oracles.ascend_ref` gives."""
-    from binnnms.bga import TERMINATIONS
-
     its = [[row] for row in np.asarray(x0).tolist()]
     for ids, bits in ascent.rounds:
         for c, row in zip(ids.tolist(), bits.tolist()):
             its[c].append(row)
-    return [(it, TERMINATIONS[e]) for it, e in zip(its, ascent.ends.tolist())]
+    return [(it, "max_iterations" if stop else "fixed_point")
+            for it, stop in zip(its, ascent.at_j_max.tolist())]
 
 
 def perfbench_workloads():

@@ -1,6 +1,7 @@
 """The public API: what `binnnms` exports, and the benchmark tracer's hooks
 into the live package."""
 
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -15,7 +16,9 @@ import binnnms.cli  # noqa: F401  (the tracer hooks every layer, cli included)
 # the list-of-BinaryVector front ends that the matrix functions replaced
 REMOVED = ("AscentTrajectory", "ascend", "ascend_all", "median_shift_step",
            "compute_epsilon", "label_clusters", "WeightedSample", "inertia",
-           "median_center")
+           "median_center",
+           # the termination codes that BatchAscent.at_j_max replaced
+           "FIXED_POINT", "MAX_ITERATIONS", "TERMINATIONS")
 
 
 def _tracing():
@@ -53,8 +56,10 @@ def test_removed_front_ends_are_gone():
     for layer in ("bga", "labeling", "median"):
         mod = importlib.import_module(f"binnnms.{layer}")
         assert not set(REMOVED) & set(vars(mod)), layer
+    from binnnms.bga import BatchAscent
     from binnnms.ingest import Dataset
     assert not hasattr(Dataset, "point")
+    assert "ends" not in {f.name for f in dataclasses.fields(BatchAscent)}
 
 
 def test_tracer_installs_and_restores_every_hook():

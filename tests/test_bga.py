@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms.bga import (
-    DEFAULT_J_MAX,
-    FIXED_POINT,
-    MAX_ITERATIONS,
-    TERMINATIONS,
-    ascend_bits,
-)
+from binnnms.bga import DEFAULT_J_MAX, ascend_bits
 from binnnms.binvec import DimensionMismatch
 from binnnms.ingest import Dataset
 from conftest import trajectories
 from oracles import ascend_ref, hamming_ref, step_ref
+
+# the termination names of `oracles.ascend_ref` and `conftest.trajectories`
+FIXED_POINT, MAX_ITERATIONS = "fixed_point", "max_iterations"
 
 
 def bits(s):
@@ -82,17 +79,29 @@ class TestAscend:
         # each call breaks every later check too, so each message shows that
         # it fires first: a failed sweep column writes it into sweep.csv
         ds = dataset(["01", "11"])
-        bad_bits, wide = np.array([[0, 2]]), np.zeros((1, 3), dtype=np.uint8)
-        with pytest.raises(ValueError, match="^k1 must be positive$"):
-            ascend_bits(ds, bad_bits, 0, j_max=0)
+        wide = np.zeros((1, 3), dtype=np.uint8)
+        bad_wide = np.array([[0, 2, 0]])
+        for k1 in (-1, 3):
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(f'k1 must be in [0, 2], got {k1}')}$"):
+                ascend_bits(ds, bad_wide, k1, j_max=0)
         with pytest.raises(ValueError, match="^j_max must be at least 1$"):
-            ascend_bits(ds, bad_bits, 3, j_max=0)
-        with pytest.raises(ValueError, match="^components must be exactly 0 or 1$"):
-            ascend_bits(ds, bad_bits, 3)
+            ascend_bits(ds, bad_wide, 1, j_max=0)
+        # k1 = 0 takes no step, so no j_max is out of range for it
+        for k1, j_max in ((1, 1), (0, 0)):
+            with pytest.raises(ValueError, match="^components must be exactly 0 or 1$"):
+                ascend_bits(ds, bad_wide, k1, j_max)
         with pytest.raises(DimensionMismatch):
-            ascend_bits(ds, wide, 3)
-        with pytest.raises(ValueError, match=re.escape("k1 must be in [1, 2], got 3")):
-            ascend_bits(ds, np.array([bits("01")]), 3)
+            ascend_bits(ds, wide, 1)
+
+    @pytest.mark.parametrize("j_max", [0, 1, 50])
+    def test_k1_zero_takes_no_step(self, j_max):
+        # the no-ascent baseline: whatever j_max, every endpoint is its start
+        ds = dataset(["111", "110", "101", "011"])
+        x0 = np.array([bits("000"), bits("110"), bits("111")])
+        got = ascend_bits(ds, x0, 0, j_max)
+        assert got.endpoints.tolist() == x0.tolist()
+        assert got.rounds == [] and got.at_j_max.tolist() == [False] * 3
 
     def test_fixed_point_stability(self):
         ds = dataset(["0011", "0010", "1100", "1101", "0111"])
@@ -221,7 +230,7 @@ class TestBatchedEngine:
             assert round_bits.shape == (len(ids), ds.d)
             prev = ids
         for c, (its, term) in enumerate(trajectories(got, np.array(cands))):
-            assert TERMINATIONS[got.ends[c]] == term
+            assert got.at_j_max[c] == (term == MAX_ITERATIONS)
             assert got.endpoints[c].tolist() == its[-1]
             assert (its, term) == ascend_ref(rows, cands[c], k1, j_max)
 

@@ -203,10 +203,10 @@ def test_binary_input_builds_no_binary_vector(two_blobs, tmp_path, monkeypatch):
 
 @st.composite
 def _grid_runs(draw):
-    """(rows, truth labels, k1 grid, k2 grid, j_max, epsilon mode): 2 to 10
+    """(rows, truth labels, k1 grid, k2 grid, j_max, epsilon mode): 1 to 10
     labeled rows, and grids whose values reach one past each valid range,
     so that whole columns and single cells fail as well as run."""
-    n, d = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    n, d = draw(st.integers(1, 10)), draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
                          min_size=n, max_size=n))
     truth = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
@@ -339,8 +339,7 @@ class TestSweep:
         truth = label_codes(data.truth_labels)[0]
         want, merged = [], False
         for k1 in k1s:
-            ends = (data.bits if k1 == 0 else
-                    ascend_bits(data, data.bits, k1, DEFAULT_J_MAX).endpoints)
+            ends = ascend_bits(data, data.bits, k1, DEFAULT_J_MAX).endpoints
             for k2 in k2s:
                 row = dict.fromkeys(cells[0], "") | {"k1": str(k1), "k2": str(k2)}
                 try:
