@@ -1,12 +1,11 @@
 """Epsilon-proximity labeling of converged ascent endpoints.
 
 Two endpoints share a cluster iff they are connected in the graph whose
-edges join points at Hamming distance <= epsilon. Those components are the
-single-linkage clusters at epsilon: the components of the edges of weight
-<= epsilon of one minimum spanning tree over the distinct endpoints (Gower &
-Ross, JRSS C 1969). `Endpoints` dedupes a set of endpoints once, reads every
-k2's epsilon from one top-k and cuts one tree at every threshold, so a
-`sweep` column shares them across its cells.
+edges join points at Hamming distance <= epsilon: the single-linkage clusters
+at epsilon, which need only the edges of weight <= epsilon (Gower & Ross, JRSS
+C 1969). `Endpoints` reads every k2's epsilon from one top-k, whose lists hold
+most of those edges, and keeps one labeling per integer threshold, so a
+`sweep` column shares both across its cells.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binvec import bit_matrix, hamming_blocks, hamming_topk, pack_bits, unique_rows
+from .binvec import (bit_matrix, hamming_blocks, hamming_topk, pack_bits, row_blocks,
+                     unique_rows)
 from .median import group_majority_bits
 from .metrics import label_codes
 
@@ -24,8 +24,8 @@ EPSILON_MODES = ("mean_all", "kth_only")
 
 @dataclass(eq=False)
 class ClusterLabeling:
-    """Cluster ids per input point plus the median-center prototypes, a
-    read-only (k, d) uint8 matrix whose row j is cluster j's prototype.
+    """Cluster ids per input point plus the median-center prototypes, a (k, d)
+    uint8 matrix whose row j is cluster j's prototype; both are read-only.
     Labelings compare (and hash) by identity."""
 
     labels: np.ndarray
@@ -42,8 +42,8 @@ class ClusterLabeling:
 
 class Endpoints:
     """The rows of an (m, d) 0/1 matrix, packed and deduped once. One top-k
-    serves every k2 in `k2s` and one spanning tree every cut; each is built
-    on first use."""
+    serves every k2 in `k2s`, and one labeling every cut with the same
+    integer threshold; each is built on first use."""
 
     def __init__(self, bits, k2s=()):
         self.bits = bit_matrix(bits)
@@ -51,7 +51,8 @@ class Endpoints:
         self._packed = pack_bits(self.bits)
         self._first, self._inverse = unique_rows(self._packed)
         self._k2s = list(k2s)
-        self._nearest = self._tree = None  # top-k distances; (parent, weight)
+        self._index = self._nearest = None  # the distinct rows' top-k
+        self._labelings = {}  # integer threshold -> ClusterLabeling
 
     def epsilon(self, k2: int, mode="mean_all") -> tuple[float, int]:
         """(epsilon, threshold) from the rows' k2-nearest-neighbor distances
@@ -75,7 +76,8 @@ class Endpoints:
             # the top-(K + 1); column 0 is a distance-0 copy of the row
             # itself, so the rest are its nearest others
             k = min(max([k2, *self._k2s]), m - 1) + 1
-            _, self._nearest = hamming_topk(self._packed[self._first], self._packed, k)
+            self._index, self._nearest = hamming_topk(self._packed[self._first],
+                                                      self._packed, k)
         if mode == "kth_only":
             totals = per_row = self._nearest[:, k2]
             count = m
@@ -87,25 +89,39 @@ class Endpoints:
         return epsilon, int(totals[self._inverse].sum()) // count
 
     def labeling(self, epsilon) -> ClusterLabeling:
-        """Connected components of the epsilon-threshold Hamming graph over
-        the rows: the spanning tree cut at epsilon, by pointer jumping.
-        Labels are numbered in order of first appearance (`label_codes`); each
-        prototype is the majority vote of its cluster's rows, a tie giving 0.
-        """
+        """Components of the epsilon-threshold Hamming graph over the rows, one
+        labeling per threshold floor(min(epsilon, d)), 0 below 1 and for NaN:
+        labels numbered by first appearance (`label_codes`), each prototype
+        its cluster's majority vote, a tie giving 0."""
         if not self.m:
             raise ValueError("need at least one converged point")
-        comp = np.arange(len(self._first))
-        if epsilon >= 1:  # distinct rows are at distance >= 1: below, no edges
-            if self._tree is None:
-                self._tree = _spanning_tree(self._packed[self._first])
-            parent, weight = self._tree
-            comp = np.where(weight <= epsilon, parent, comp)
-            while ((up := comp[comp]) != comp).any():
-                comp = up
-        labels, ncomp = label_codes(comp[self._inverse])
-        protos = group_majority_bits(self.bits, labels, ncomp)
-        protos.flags.writeable = False
-        return ClusterLabeling(labels, protos)
+        # distinct rows are at distance >= 1: below, no edges and no kernel
+        t = int(min(epsilon, self.bits.shape[1])) if epsilon >= 1 else 0
+        if t not in self._labelings:
+            comp = np.arange(len(self._first))
+            for a, b in self._edges(t) if t else ():
+                _hook(comp, a, b)
+            labels, ncomp = label_codes(comp[self._inverse])
+            protos = group_majority_bits(self.bits, labels, ncomp)
+            labels.flags.writeable = protos.flags.writeable = False
+            self._labelings[t] = ClusterLabeling(labels, protos)
+        return self._labelings[t]
+
+    def _edges(self, t: int):
+        """Chunks (a, b) of distinct rows, each pair within t in one. A row
+        whose last top-k distance is above t lists them all, so the other
+        (dense) rows, all without a top-k, need one kernel pass among them."""
+        dense = np.arange(len(self._first))
+        if self._nearest is not None:
+            listed = self._nearest[:, -1] > t
+            rows, dense = np.flatnonzero(listed), np.flatnonzero(~listed)
+            for sl in row_blocks(len(rows), 8 * self._nearest.shape[1]):
+                i, j = np.nonzero(self._nearest[rows[sl]] <= t)
+                yield rows[sl][i], self._inverse[self._index[rows[sl][i], j]]
+        upacked = self._packed[self._first[dense]]
+        for sl, dist in hamming_blocks(upacked, upacked) if len(dense) else ():
+            i, j = np.divmod(np.flatnonzero(dist <= t), len(dense))
+            yield dense[sl][i], dense[j]
 
 
 def epsilon_bits(bits, k2: int, mode="mean_all") -> float:
@@ -118,27 +134,11 @@ def label_bits(bits, epsilon: float) -> ClusterLabeling:
     return Endpoints(bits).labeling(epsilon)
 
 
-def _spanning_tree(upacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, weight): a Prim minimum spanning tree from row 0 of the
-    complete Hamming graph over distinct packed rows; row v's edge goes to
-    parent[v] and weighs weight[v], and the root is its own parent. The rows
-    not yet in the tree stay compact at the front of one copy, so each step
-    is one kernel call from them to the row that joined last."""
-    u = len(upacked)
-    parent, weight = np.empty(u, dtype=np.intp), np.empty(u, dtype=np.int64)
-    rest, ids = upacked.copy(), np.arange(u)  # a copy: it is permuted in place
-    best = np.full(u, np.iinfo(np.int64).max)  # each rest row's distance to the tree
-    near = np.zeros(u, dtype=np.intp)  # and the tree row at that distance
-    j = 0
-    for r in range(u - 1, -1, -1):  # r rows stay out once slot j joins
-        v = ids[j]
-        parent[v], weight[v] = near[j], best[j]
-        rest[j], ids[j], best[j], near[j] = rest[r], ids[r], best[r], near[r]
-        if not r:
-            break
-        for sl, dist in hamming_blocks(rest[:r], upacked[v:v + 1]):
-            closer = dist[:, 0] < best[sl]
-            best[sl][closer] = dist[closer, 0]
-            near[sl][closer] = v
-        j = int(best[:r].argmin())
-    return parent, weight
+def _hook(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join each pair (a, b) in `comp` (each row's root) in place: each root
+    hooks to the least root it shares a pair with, then every row jumps to it."""
+    while (cross := (ra := comp[a]) != (rb := comp[b])).any():
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(comp, np.maximum(ra, rb), np.minimum(ra, rb))
+        while ((up := comp[comp]) != comp).any():
+            comp[:] = up

@@ -325,9 +325,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
     def test_each_cell_is_a_fresh_labeling(self, two_blobs, tmp_path, mode):
-        # a k1 column shares one dedupe, one top-k and one tree across its
-        # cells; each cell must still equal epsilon_bits and label_bits run
-        # alone on that column's endpoints, k2 = 30 > m - 1 failing alone
+        # a k1 column shares one dedupe, one top-k and one labeling per
+        # threshold across its cells; each cell must still equal epsilon_bits
+        # and label_bits run alone on that column's endpoints, k2 = 30 > m - 1
+        # failing alone
         k1s, k2s = (0, 6), (1, 12, 3, 30)
         out = tmp_path / "s"
         assert main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
@@ -357,7 +358,7 @@ class TestSweep:
                     "status": "ok"})
                 merged |= lab.num_clusters < len(np.unique(ends, axis=0))
         assert cells == want
-        assert merged  # some cell cuts its column's tree
+        assert merged  # some cell's threshold merges distinct endpoints
 
     def test_artifact_bytes(self, tmp_path):
         # k1 = -1 and k1 = 99 > n fail their whole columns, k2 = 9 > m - 1

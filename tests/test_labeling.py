@@ -89,6 +89,16 @@ class TestLabelClusters:
         lab = label_bits(bits("0000", "0001", "0011", "0111"), 1)
         assert lab.num_clusters == 1
 
+    @pytest.mark.parametrize("epsilon", [-1, np.nan, 0.5, 1.5, 4.5, np.inf, 1e300])
+    def test_edge_epsilons(self, epsilon):
+        # d = 4, with a duplicate row: any epsilon below 1 (NaN too) cuts at
+        # 0, which still merges copies, where the oracle's H <= epsilon merges
+        # nothing for -1 and NaN; d + 0.5, inf and 1e300 merge everything
+        rows = [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1], [1, 1, 1, 1]]
+        lab = label_bits(np.array(rows), epsilon)
+        assert partition_of_labels(lab.labels.tolist()) == \
+            partition_ref(rows, epsilon if epsilon >= 0 else 0)
+
     def test_prototypes_are_median_centers(self):
         pts = bits("000", "001", "011", "111")
         lab = label_bits(pts, 1)
@@ -205,10 +215,11 @@ class TestMatrixFunctions:
     def test_labeling_matches_reference_across_blocks(self, monkeypatch):
         # 256-bit rows: the zero row, 128 unit rows e_i and 128 pendants
         # e_i + e_(128+i), plus their complements, are 514 distinct rows.
-        # Each tree step is one kernel call from the rows not yet in the tree
-        # to one row, so a 100-query block makes the first steps span six
-        # blocks. At epsilon 1 each pendant joins only through its own unit
-        # row, and every unit row only through the zero row.
+        # Without a top-k every row is dense: one kernel pass of the distinct
+        # rows against themselves, whose 800-byte blocks hold one query each,
+        # so each row's edges are hooked on their own. At epsilon 1 each
+        # pendant joins only through its own unit row, and every unit row
+        # only through the zero row.
         monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
         eye = np.eye(256, dtype=np.uint8)
         half = np.vstack([np.zeros((1, 256), np.uint8), eye[:128],
@@ -247,17 +258,22 @@ class TestMatrixFunctions:
 class TestEndpoints:
     @given(dup_rows, st.sampled_from([3, binvec.BLOCK_BYTES // 8]), st.data())
     @settings(max_examples=200)
-    def test_one_tree_cut_at_many_thresholds(self, rows, block, data):
-        # one object, so every cut after the first reuses its tree; the
-        # thresholds come in random order, repeats and fractions included,
-        # and 3-query blocks split each tree step across blocks
+    def test_one_object_labels_many_thresholds(self, rows, block, data):
+        # one object, cut at thresholds in random order, repeats and
+        # fractions included. When epsilon(k2) runs first, a row whose last
+        # top-k distance is above the cut takes its edges from its own list
+        # and the other rows from the kernel pass; without it every row is
+        # dense. 3-query blocks split that pass, and the list walk, in blocks
         d = len(rows[0])
         cuts = data.draw(st.lists(st.one_of(st.integers(0, d + 1),
                                             st.floats(0, d + 1)),
                                   min_size=1, max_size=8))
+        k2 = data.draw(st.none() | st.integers(1, len(rows) - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(binvec, "BLOCK_BYTES", 8 * block)
             ends = Endpoints(np.array(rows))
+            if k2 is not None:
+                ends.epsilon(k2)
             labs = [ends.labeling(eps) for eps in cuts]
         for eps, lab in zip(cuts, labs):
             assert partition_of_labels(lab.labels.tolist()) == partition_ref(rows, eps)
@@ -282,8 +298,31 @@ class TestEndpoints:
             assert ends.epsilon(k2, mode) == (float(np.mean(want)),
                                               round(total) // count)
 
-    def test_a_column_makes_one_top_k_and_one_tree(self, monkeypatch):
-        calls = {"topk": 0, "tree": 0}
+    @pytest.mark.parametrize("rows, k2, dense", [
+        # k2 = 1 lists each row's one nearest other, at distance 1: at the
+        # cut 1 every row is dense
+        (("0000", "0001", "1110", "1111"), 1, 4),
+        # k2 = m - 1 lists every row, the last at distance 5 or 6: no row is,
+        # so no kernel pass runs
+        (("000000", "000001", "111111", "111110"), 3, None)])
+    def test_listed_and_dense_rows(self, monkeypatch, rows, k2, dense):
+        queries = []
+
+        def recorded(q_packed, packed_rows):
+            queries.append(len(q_packed))
+            return binvec.hamming_blocks(q_packed, packed_rows)
+
+        monkeypatch.setattr(labeling, "hamming_blocks", recorded)
+        ends = Endpoints(bits(*rows))
+        ends.epsilon(k2)
+        lab = ends.labeling(1)
+        assert queries == ([] if dense is None else [dense])
+        assert partition_of_labels(lab.labels.tolist()) == \
+            partition_ref([list(map(int, r)) for r in rows], 1) == \
+            frozenset({frozenset({0, 1}), frozenset({2, 3})})
+
+    def test_a_column_makes_one_top_k_and_one_labeling_per_cut(self, monkeypatch):
+        calls = {"hamming_topk": 0, "hamming_blocks": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -291,13 +330,24 @@ class TestEndpoints:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(labeling, "hamming_topk",
-                            counted("topk", labeling.hamming_topk))
-        monkeypatch.setattr(labeling, "_spanning_tree",
-                            counted("tree", labeling._spanning_tree))
-        rows = np.random.default_rng(2).integers(0, 2, size=(60, 8))
+        for name in calls:
+            monkeypatch.setattr(labeling, name, counted(name, getattr(labeling, name)))
+        # ten copies of one row fill its top-10 list with distance 0, so that
+        # row is dense at every cut and each cut >= 1 runs one kernel pass
+        rng = np.random.default_rng(2)
+        rows = np.vstack([rng.integers(0, 2, size=(60, 8)), np.ones((10, 8), int)])
         ends = Endpoints(rows, range(1, 10))
+        cuts = set()
         for k2 in range(1, 10):
             for mode in ("mean_all", "kth_only"):
-                ends.labeling(ends.epsilon(k2, mode)[1])
-        assert calls == {"topk": 1, "tree": 1}
+                cut = ends.epsilon(k2, mode)[1]
+                lab = ends.labeling(cut)
+                # a repeated cut, or a fraction with the same floor, is the
+                # same shared, read-only labeling
+                assert ends.labeling(cut) is lab and ends.labeling(cut + 0.5) is lab
+                assert not lab.labels.flags.writeable
+                assert not lab.prototypes.flags.writeable
+                cuts.add(cut)
+        kernel_cuts = [cut for cut in cuts if cut >= 1]
+        assert len(kernel_cuts) > 1
+        assert calls == {"hamming_topk": 1, "hamming_blocks": len(kernel_cuts)}
