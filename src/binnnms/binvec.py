@@ -65,8 +65,8 @@ def unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def row_blocks(m: int, row_bytes: int):
     """Slices covering range(m), each with at most BLOCK_BYTES // row_bytes
-    rows (at least one)."""
-    step = max(1, BLOCK_BYTES // row_bytes)
+    rows (at least one; all m in one slice when rows take no bytes)."""
+    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
     return [slice(s, min(s + step, m)) for s in range(0, m, step)]
 
 

@@ -149,17 +149,19 @@ def _scores(truth, labels) -> dict:
     return {"nmi": round(nmi, 12), "arand": round(arand, 12)}
 
 
-def _cell(data: Dataset, truth, endpoints: Endpoints, k2: int, epsilon_mode: str):
+def _cell(data: Dataset, truth, endpoints: Endpoints, k2: int, epsilon_mode: str,
+          scored: dict):
     """(labeling, values) of the endpoints at the k2 epsilon threshold: one
     `cluster` run, or one (k1, k2) cell of a `sweep`. The labeling cuts at
-    the exact floor of epsilon; the values hold the float."""
+    the exact floor of epsilon; the values hold the float. Cells that share
+    a labeling share its quantization error and scores, kept in `scored`."""
     epsilon, threshold = endpoints.epsilon(k2, epsilon_mode)
     labeling = endpoints.labeling(threshold)
-    return labeling, {
-        "epsilon": epsilon, "num_clusters": labeling.num_clusters,
-        "quantization_error": quantization_error(data, labeling.labels,
-                                                 labeling.prototypes),
-        **_scores(truth, labeling.labels)}
+    if labeling not in scored:
+        scored[labeling] = {"quantization_error": quantization_error(
+            data, labeling.labels, labeling.prototypes), **_scores(truth, labeling.labels)}
+    return labeling, {"epsilon": epsilon, "num_clusters": labeling.num_clusters,
+                      **scored[labeling]}
 
 
 # each `cluster` option that one --algo alone reads, with its default
@@ -182,7 +184,7 @@ def cmd_cluster(args) -> int:
     truth = _truth_codes(data)
     if args.algo == "binnnms":
         endpoints, _ = _endpoints(data, args.k1, args.jmax, [args.k2])
-        labeling, metrics = _cell(data, truth, endpoints, args.k2, args.epsilon_mode)
+        labeling, metrics = _cell(data, truth, endpoints, args.k2, args.epsilon_mode, {})
         labels, prototypes = labeling.labels, labeling.prototypes
         metrics.update(algo="binnnms", k1=args.k1, k2=args.k2, jmax=args.jmax,
                        epsilon_mode=args.epsilon_mode,
@@ -211,12 +213,10 @@ def cmd_cluster(args) -> int:
             "runs_detail": per_run,
         }
         if truth is not None and args.runs > 1:
-            vals = np.array([e["nmi"] for e in per_run], dtype=float)
-            avals = np.array([e["arand"] for e in per_run], dtype=float)
-            metrics["nmi_mean"] = float(vals.mean())
-            metrics["nmi_std"] = float(vals.std(ddof=1))
-            metrics["arand_mean"] = float(avals.mean())
-            metrics["arand_std"] = float(avals.std(ddof=1))
+            for name in ("nmi", "arand"):
+                vals = np.array([e[name] for e in per_run], dtype=float)
+                metrics[f"{name}_mean"] = float(vals.mean())
+                metrics[f"{name}_std"] = float(vals.std(ddof=1))
     _write_labels(out / "labels.csv", labels)
     _write_prototypes(out / "prototypes.txt", prototypes)
     _write_json(out / "metrics.json", metrics)
@@ -273,9 +273,10 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:  # the whole k1 column fails
             rows.extend({"k1": k1, "k2": k2, "status": f"error: {exc}"} for k2 in args.k2)
             continue
+        scored = {}  # each labeling's values, shared by this column's cells
         for k2 in args.k2:
             try:
-                _, cell = _cell(data, truth, endpoints, k2, args.epsilon_mode)
+                _, cell = _cell(data, truth, endpoints, k2, args.epsilon_mode, scored)
             except ValueError as exc:
                 cell = {"status": f"error: {exc}"}
             else:

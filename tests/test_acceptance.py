@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binnnms.bga import ascend_bits
-from binnnms.binvec import BinaryVector
+from binnnms.binvec import BinaryVector, hamming_topk, pack_bits
 from binnnms.cli import main
 from binnnms.ingest import (
     CAR_VOCABS,
@@ -29,7 +29,6 @@ from binnnms.ingest import (
 )
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
 from binnnms.kmodes import kmodes_repeated, kmodes_run
-from binnnms.knn import knn_query
 from binnnms.labeling import epsilon_bits, label_bits
 from binnnms.median import majority_bits
 from binnnms.metrics import arand, label_codes, nmi
@@ -72,7 +71,8 @@ def test_c1_median_optimality():
 
 
 def test_c2_knn_oracle():
-    """2. knn_query equals full-sort brute force on 500 instances."""
+    """2. Exact kNN, one hamming_topk call, equals full-sort brute force on
+    500 instances."""
     rng = np.random.default_rng(2)
     for trial in range(500):
         n, d = int(rng.integers(1, 201)), int(rng.integers(1, 65))
@@ -82,8 +82,8 @@ def test_c2_knn_oracle():
             rows[n // 2] = rows[0]
         q = rng.integers(0, 2, size=d)
         k = int(rng.integers(1, n + 1))
-        ns = knn_query(Dataset(rows), BinaryVector(q), k)
-        assert list(ns.indices) == knn_ref(rows.tolist(), q.tolist(), k)
+        idx, _ = hamming_topk(pack_bits(q[None]), pack_bits(rows), k)
+        assert idx[0].tolist() == knn_ref(rows.tolist(), q.tolist(), k)
     report("criterion 2: kNN matches full-sort oracle (500 instances)")
 
 

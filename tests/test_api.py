@@ -18,7 +18,9 @@ REMOVED = ("AscentTrajectory", "ascend", "ascend_all", "median_shift_step",
            "compute_epsilon", "label_clusters", "WeightedSample", "inertia",
            "median_center",
            # the termination codes that BatchAscent.at_j_max replaced
-           "FIXED_POINT", "MAX_ITERATIONS", "TERMINATIONS")
+           "FIXED_POINT", "MAX_ITERATIONS", "TERMINATIONS",
+           # the kNN front end: exact kNN is one binvec.hamming_topk call
+           "knn_query", "kth_distance", "NeighborSet")
 
 
 def _tracing():
@@ -53,9 +55,11 @@ def test_every_exported_name_resolves():
 
 def test_removed_front_ends_are_gone():
     assert not set(REMOVED) & set(binnnms.__all__)
-    for layer in ("bga", "labeling", "median"):
+    for layer in ("bga", "knn", "labeling", "median"):
         mod = importlib.import_module(f"binnnms.{layer}")
         assert not set(REMOVED) & set(vars(mod)), layer
+    # the package still imports the empty module that the tracer reads
+    assert not [name for name in vars(binnnms.knn) if not name.startswith("_")]
     from binnnms.bga import BatchAscent
     from binnnms.ingest import Dataset
     assert not hasattr(Dataset, "point")
@@ -63,8 +67,9 @@ def test_removed_front_ends_are_gone():
 
 
 def test_tracer_installs_and_restores_every_hook():
-    # the tracer reads `binnnms.knn` and `Dataset.points` unconditionally,
-    # so this fails if either goes before the tracer stops hooking them
+    # the tracer reads the module `binnnms.knn` and the attribute
+    # `Dataset.points`, so this fails if either goes before the tracer stops
+    # reading them
     tracing = _tracing()
     before = _package_attributes()
     tracer = tracing.Tracer()

@@ -143,6 +143,16 @@ class TestHammingBlocks:
         got = np.concatenate([dist for _, dist in blocks])
         assert np.array_equal(got, (queries[:, None, :] != bits).sum(axis=2))
 
+    @pytest.mark.parametrize("m", [3, 0])
+    def test_zero_rows(self, m):
+        # rows of 0 bytes: every query in one (m, 0) block, and no block
+        # without queries
+        queries = pack_bits(np.ones((m, 70), dtype=np.uint8))
+        rows = pack_bits(np.ones((0, 70), dtype=np.uint8))
+        blocks = list(hamming_blocks(queries, rows))
+        assert [(sl, dist.shape) for sl, dist in blocks] == (
+            [(slice(0, 3), (3, 0))] if m else [])
+
 
 class TestWidestDistances:
     """All-ones against all-zeros rows, at the widths where the narrow

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from binnnms import ingest
+from binnnms import cli, ingest
 from binnnms.bga import DEFAULT_J_MAX, ascend_bits
 from binnnms.binvec import BinaryVector
 from binnnms.cli import (
@@ -29,7 +29,7 @@ from binnnms.ingest import (
     load_uci,
     write_binary_csv,
 )
-from binnnms.labeling import EPSILON_MODES, epsilon_bits, label_bits
+from binnnms.labeling import EPSILON_MODES, Endpoints, epsilon_bits, label_bits
 from binnnms.metrics import label_codes, quantization_error, scores
 from conftest import ROOT, trajectories
 from oracles import majority_ref
@@ -359,6 +359,35 @@ class TestSweep:
                 merged |= lab.num_clusters < len(np.unique(ends, axis=0))
         assert cells == want
         assert merged  # some cell's threshold merges distinct endpoints
+
+    def test_each_labeling_is_scored_once(self, two_blobs, tmp_path, monkeypatch):
+        # the cells of a k1 column that share a labeling share its
+        # quantization error and scores: one call of each per labeling
+        k1s, k2s = (0, 6), range(1, 13)
+        columns = []  # per k1 column, the calls of each
+
+        def counted(name, fn):
+            def call(*args):
+                if name == "_endpoints":  # a new column
+                    columns.append(dict(quantization_error=0, scores=0))
+                else:
+                    columns[-1][name] += 1
+                return fn(*args)
+            return call
+
+        for name in ("_endpoints", "quantization_error", "scores"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
+                     "--k1", ",".join(map(str, k1s)), "--k2", "1..12",
+                     "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+        data = load_binary_csv(two_blobs, label_column=-1)
+        want = []
+        for k1 in k1s:
+            ends = Endpoints(ascend_bits(data, data.bits, k1, DEFAULT_J_MAX).endpoints)
+            labelings = {ends.labeling(ends.epsilon(k2)[1]) for k2 in k2s}
+            want.append(dict.fromkeys(("quantization_error", "scores"), len(labelings)))
+        assert columns == want
+        assert sum(c["scores"] for c in columns) < len(k1s) * len(k2s)
 
     def test_artifact_bytes(self, tmp_path):
         # k1 = -1 and k1 = 99 > n fail their whole columns, k2 = 9 > m - 1

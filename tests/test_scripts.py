@@ -1,7 +1,9 @@
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +39,63 @@ def test_check_digests_names_every_differing_artifact(tmp_path):
     for k1 in (10, 20, 30):
         assert f"trajectory_k1={k1}.csv: expected no file, got " in line
     assert proc.stdout.endswith("0 of 1 match\n")
+
+
+def _run_output(run_s, setup_s, peak_rss_mb, nmi, correct=True):
+    """The standard output of one perfbench/run.py run: comment lines, then
+    the result as one JSON line."""
+    metrics = dict(run_s=run_s, setup_s=setup_s, peak_rss_mb=peak_rss_mb,
+                   nmi=nmi, success_rate=1.0)
+    result = {"correct": correct, "attempted": 5, "failed": 1 - correct,
+              "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}
+    problem = "" if correct else "# first problem: command 3: exit code 3\n"
+    return problem + f"# run_s = {run_s:.6g} s\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summary(monkeypatch, capsys):
+    # four canned pairs: run_s halves in each (a claim that holds), setup_s
+    # ties three and loses one, peak_rss_mb loses all four beyond its bound
+    outputs = {"parent": [_run_output(r, 0.1, 40.0, 0.9) for r in (1.0, 1.2, 1.1, 1.3)],
+               "change": [_run_output(r, s, 50.0, 0.9) for r, s in
+                          zip((0.5, 0.6, 0.55, 0.65), (0.1, 0.1, 0.2, 0.1))]}
+    calls = []
+
+    def canned(argv, cwd, **kwargs):
+        option = dict(zip(argv[2::2], argv[3::2]))
+        calls.append((cwd.name, option["--workload"], option["--seed"],
+                      option["--seconds"]))
+        stdout = outputs[cwd.name][int(option["--seed"]) - 1]
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "subprocess", SimpleNamespace(run=canned))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "parent", "change",
+                                      "--workload", "w", "--pairs", "4"])
+    assert main() == 0
+    # the side that runs first alternates, parent first in pair 1
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert {c[1:] for c in calls[:2]} == {("w", "1", str(seconds))}
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("pair 1 (parent first): run_s 1 -> 0.5, setup_s 0.1 -> 0.1, "
+                      "peak_rss_mb 40 -> 50, nmi 0.9 -> 0.9, success_rate 1 -> 1")
+    assert out[1].startswith("pair 2 (change first): run_s 1.2 -> 0.6,")
+    assert out[4:] == [
+        "run_s: parent 1.15 [1.075, 1.225], change 0.575 [0.5375, 0.6125] s; "
+        "4 won, 0 lost, 0 tied; median -50.0% (bound 25%); claim holds",
+        "setup_s: parent 0.1 [0.1, 0.1], change 0.1 [0.1, 0.125] s; "
+        "0 won, 1 lost, 3 tied; median +0.0% (bound 25%); claim does not hold",
+        "peak_rss_mb: parent 40 [40, 40], change 50 [50, 50] MB; "
+        "0 won, 4 lost, 0 tied; median +25.0% (bound 10%, beyond it); "
+        "claim does not hold",
+        "nmi: parent 0.9 [0.9, 0.9], change 0.9 [0.9, 0.9] ratio; "
+        "0 won, 0 lost, 4 tied; median +0.0% (bound 25%); claim does not hold",
+        "success_rate: parent 1 [1, 1], change 1 [1, 1] ratio; "
+        "0 won, 0 lost, 4 tied; median +0.0% (bound 1%); claim does not hold"]
+
+    # a result that is not correct ends the comparison before any summary
+    outputs["change"][1] = _run_output(0.6, 0.1, 50.0, 0.9, correct=False)
+    assert main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["pair 2: change not correct: command 3: exit code 3"]
+    assert calls[-1][:3] == ("change", "w", "2")  # the parent's pair 2 never ran
