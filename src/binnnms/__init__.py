@@ -14,7 +14,7 @@ from .ingest import Dataset, load_binary_csv, load_categorical_csv, load_uci
 from .kde import aa_kernel, kde_estimate, kde_gradient
 from .kmodes import KModesResult, kmodes_repeated, kmodes_run
 from . import knn  # noqa: F401  (empty; the benchmark tracer reads the module)
-from .labeling import ClusterLabeling, epsilon_bits, label_bits
+from .labeling import ClusterLabeling, Endpoints
 from .metrics import arand, nmi, quantization_error, scores
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "Dataset", "load_binary_csv", "load_categorical_csv", "load_uci",
     "aa_kernel", "kde_estimate", "kde_gradient",
     "KModesResult", "kmodes_repeated", "kmodes_run",
-    "ClusterLabeling", "epsilon_bits", "label_bits",
+    "ClusterLabeling", "Endpoints",
     "arand", "nmi", "quantization_error", "scores",
 ]
 

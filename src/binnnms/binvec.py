@@ -85,8 +85,13 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     them. The rows are copied word-major once per call, so each word of a
     query block is one (block, rows) XOR and popcount over contiguous
     memory; the first word's popcount lands in the distances themselves.
+    Queries and rows of different word counts raise DimensionMismatch; equal
+    counts cannot tell a 10-bit row from a 64-bit one, so callers check d.
     """
     n, words = packed_rows.shape
+    if q_packed.shape[1] != words:
+        raise DimensionMismatch(f"incompatible packed widths: "
+                                f"{q_packed.shape[1]} words vs {words}")
     dtype = _distance_dtype(words)
     cols = np.ascontiguousarray(packed_rows.T)
     blocks = row_blocks(q_packed.shape[0], 8 * n)
@@ -121,6 +126,8 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
     key is cast from the narrow distances by the multiply itself.
     """
     n, words = packed_rows.shape
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
     dtype = _key_dtype(n, words)
     keys = np.empty((q_packed.shape[0], k), dtype=dtype)
     index = np.arange(n, dtype=dtype)

@@ -43,7 +43,18 @@ class ClusterLabeling:
 class Endpoints:
     """The rows of an (m, d) 0/1 matrix, packed and deduped once. One top-k
     serves every k2 in `k2s`, and one labeling every cut with the same
-    integer threshold; each is built on first use."""
+    integer threshold; each is built on first use.
+
+    This is the one public labeling API, the flow `cluster` runs:
+
+        ends = Endpoints(bits, [k2])
+        epsilon, t = ends.epsilon(k2, mode)
+        labeling = ends.labeling(t)
+
+    Cutting at t, the exact floor of epsilon, keeps the edges at an integer
+    epsilon that the float mean lands one ulp below. For an epsilon of the
+    caller's own, `Endpoints(bits).labeling(epsilon)`.
+    """
 
     def __init__(self, bits, k2s=()):
         self.bits = bit_matrix(bits)
@@ -122,16 +133,6 @@ class Endpoints:
         for sl, dist in hamming_blocks(upacked, upacked) if len(dense) else ():
             i, j = np.divmod(np.flatnonzero(dist <= t), len(dense))
             yield dense[sl][i], dense[j]
-
-
-def epsilon_bits(bits, k2: int, mode="mean_all") -> float:
-    """The epsilon of `Endpoints(bits).epsilon(k2, mode)`."""
-    return Endpoints(bits, [k2]).epsilon(k2, mode)[0]
-
-
-def label_bits(bits, epsilon: float) -> ClusterLabeling:
-    """The labeling of `Endpoints(bits).labeling(epsilon)`."""
-    return Endpoints(bits).labeling(epsilon)
 
 
 def _hook(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

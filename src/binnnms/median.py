@@ -19,7 +19,8 @@ def majority_bits(bits, weights, tie_bits: np.ndarray | None = None) -> np.ndarr
     The matrix needs at least one row and `weights` one positive weight per
     row. Exact ties take the corresponding bit of `tie_bits` when given,
     else 0. Integer weights sum exactly in float64, so their tie test is
-    exact; other weights tie within `np.isclose`.
+    exact; other weights tie within a relative 1e-12, a rounding error's
+    width, so a vote won by 1e-5 is still a majority.
     """
     bits = bit_matrix(bits)
     weights = np.asarray(weights, dtype=float)
@@ -36,7 +37,7 @@ def majority_bits(bits, weights, tie_bits: np.ndarray | None = None) -> np.ndarr
     if (weights == np.round(weights)).all():
         tied = twice == total
     else:
-        tied = np.isclose(twice, total)
+        tied = np.isclose(twice, total, rtol=1e-12, atol=0)
     if tie_bits is not None:
         out[tied] = tie_bits[tied]
     else:

@@ -29,7 +29,7 @@ from binnnms.ingest import (
 )
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
 from binnnms.kmodes import kmodes_repeated, kmodes_run
-from binnnms.labeling import epsilon_bits, label_bits
+from binnnms.labeling import Endpoints
 from binnnms.median import majority_bits
 from binnnms.metrics import arand, label_codes, nmi
 from conftest import uci_path
@@ -101,14 +101,14 @@ def test_c3_bga_step_oracle():
 
 
 def test_c4_labeling_oracle():
-    """4. label_bits partition equals union-find connected components."""
+    """4. Endpoints.labeling partition equals union-find connected components."""
     rng = np.random.default_rng(4)
     for trial in range(120):
         m = int(rng.integers(1, 301)) if trial % 4 == 0 else int(rng.integers(1, 60))
         d = int(rng.integers(2, 16))
         rows = rng.integers(0, 2, size=(m, d)).tolist()
         eps = float(rng.uniform(0, d + 1))
-        lab = label_bits(np.array(rows), eps)
+        lab = Endpoints(np.array(rows)).labeling(eps)
         assert partition_of_labels(list(lab.labels)) == partition_ref(rows, eps)
     report("criterion 4: labeling equals union-find components (random eps)")
 
@@ -188,7 +188,8 @@ def _binnnms_labeling(data, k1, k2, j_max=50, endpoints_cache={}):
         ascent = ascend_bits(data, data.bits, k1, j_max)
         endpoints_cache[key] = ascent.endpoints
     endpoints = endpoints_cache[key]
-    return label_bits(endpoints, epsilon_bits(endpoints, k2))
+    ends = Endpoints(endpoints, [k2])
+    return ends.labeling(ends.epsilon(k2)[1])
 
 
 def _binnnms_scores(data, k1, k2, j_max=50):

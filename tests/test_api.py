@@ -20,7 +20,9 @@ REMOVED = ("AscentTrajectory", "ascend", "ascend_all", "median_shift_step",
            # the termination codes that BatchAscent.at_j_max replaced
            "FIXED_POINT", "MAX_ITERATIONS", "TERMINATIONS",
            # the kNN front end: exact kNN is one binvec.hamming_topk call
-           "knn_query", "kth_distance", "NeighborSet")
+           "knn_query", "kth_distance", "NeighborSet",
+           # the labeling wrappers: Endpoints is the one labeling API
+           "epsilon_bits", "label_bits")
 
 
 def _tracing():

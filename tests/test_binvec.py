@@ -16,7 +16,7 @@ from binnnms.binvec import (
 )
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_run
-from binnnms.labeling import label_bits
+from binnnms.labeling import Endpoints
 from oracles import decode_ref, hamming_ref, knn_ref
 
 bitlists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
@@ -180,9 +180,9 @@ class TestWidestDistances:
         assert dist.tolist() == [[0, 0, d, d]] * 4
 
     @pytest.mark.parametrize("d", [192, 193, 256])
-    def test_label_bits(self, d):
-        assert label_bits(self.rows(d), d - 0.5).num_clusters == 2
-        assert label_bits(self.rows(d), d).num_clusters == 1
+    def test_labeling(self, d):
+        assert Endpoints(self.rows(d)).labeling(d - 0.5).num_clusters == 2
+        assert Endpoints(self.rows(d)).labeling(d).num_clusters == 1
 
     @pytest.mark.parametrize("d", [192, 193, 256])
     def test_kmodes_inertia(self, d):

@@ -29,7 +29,7 @@ from binnnms.ingest import (
     load_uci,
     write_binary_csv,
 )
-from binnnms.labeling import EPSILON_MODES, Endpoints, epsilon_bits, label_bits
+from binnnms.labeling import EPSILON_MODES, Endpoints
 from binnnms.metrics import label_codes, quantization_error, scores
 from conftest import ROOT, trajectories
 from oracles import majority_ref
@@ -148,8 +148,9 @@ class TestCluster:
         assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
 
     @pytest.mark.xfail(strict=True, reason=(
-        "epsilon_bits averages float per-row means, so an integer epsilon can "
-        "land one ulp below it; the exact fix moves recorded benchmark digests"))
+        "Endpoints.epsilon averages float per-row means, so an integer epsilon "
+        "can print one ulp below it; the exact fix moves recorded benchmark "
+        "digests"))
     def test_integer_epsilon_keeps_its_edges(self, tmp_path):
         # the k2 = 3 distance means are 4/3, 1, 2/3, 1: exactly 1 on average
         data = tmp_path / "eps.csv"
@@ -326,9 +327,10 @@ class TestSweep:
     @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
     def test_each_cell_is_a_fresh_labeling(self, two_blobs, tmp_path, mode):
         # a k1 column shares one dedupe, one top-k and one labeling per
-        # threshold across its cells; each cell must still equal epsilon_bits
-        # and label_bits run alone on that column's endpoints, k2 = 30 > m - 1
-        # failing alone
+        # threshold across its cells; each cell must still equal a fresh
+        # Endpoints of that column's endpoints and that k2 alone:
+        # Endpoints.epsilon, then the labeling at its threshold, with
+        # k2 = 30 > m - 1 failing alone
         k1s, k2s = (0, 6), (1, 12, 3, 30)
         out = tmp_path / "s"
         assert main(["sweep", "--data", str(two_blobs), "--label-column", "-1",
@@ -343,12 +345,13 @@ class TestSweep:
             ends = ascend_bits(data, data.bits, k1, DEFAULT_J_MAX).endpoints
             for k2 in k2s:
                 row = dict.fromkeys(cells[0], "") | {"k1": str(k1), "k2": str(k2)}
+                fresh = Endpoints(ends, [k2])
                 try:
-                    epsilon = epsilon_bits(ends, k2, mode)
+                    epsilon, t = fresh.epsilon(k2, mode)
                 except ValueError as exc:
                     want.append(row | {"status": f"error: {exc}"})
                     continue
-                lab = label_bits(ends, epsilon)
+                lab = fresh.labeling(t)
                 nmi, arand = scores(truth, lab.labels)
                 want.append(row | {
                     "epsilon": str(epsilon), "num_clusters": str(lab.num_clusters),

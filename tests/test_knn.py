@@ -2,9 +2,10 @@
 against a dataset's packed rows, the call the README names."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms.binvec import BinaryVector, hamming_topk
+from binnnms.binvec import BinaryVector, DimensionMismatch, hamming_blocks, hamming_topk
 from binnnms.ingest import Dataset
 from oracles import knn_ref
 
@@ -45,6 +46,28 @@ class TestKnnQuery:
         ds = dataset(["010", "100", "001", "111", "000"])
         q = bv("011")
         assert knn(ds, q, 3) == knn(ds, q, 3)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_bad_k(self, k):
+        ds = dataset(["000", "001", "011"])
+        with pytest.raises(ValueError, match=rf"^k must be in \[0, 3\], got {k}$"):
+            knn(ds, bv("000"), k)
+
+    def test_k_zero(self):
+        assert knn(dataset(["000", "001"]), bv("000"), 0) == ([], [])
+
+    def test_dim_mismatch(self):
+        # a 70-bit query packs to 2 words, 64-bit rows to 1: either way round
+        # the word counts differ. Equal counts (10 bits against 64) cannot be
+        # told apart, so the caller checks q.dim == data.d
+        ds = Dataset(np.eye(64, dtype=np.uint8)[:5])
+        q = BinaryVector([1] + [0] * 69)
+        with pytest.raises(DimensionMismatch):
+            knn(ds, q, 2)
+        with pytest.raises(DimensionMismatch):
+            hamming_topk(ds.packed[:1], q.packed[None], 1)
+        with pytest.raises(DimensionMismatch):
+            next(hamming_blocks(q.packed[None], ds.packed))
 
 
 class TestKthDistance:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binnnms import binvec, labeling
-from binnnms.labeling import Endpoints, epsilon_bits, label_bits
+from binnnms.labeling import Endpoints
 from oracles import epsilon_ref, majority_ref, partition_of_labels, partition_ref
 
 
@@ -17,27 +17,28 @@ def bits(*strings):
 
 class TestComputeEpsilon:
     def test_identical_points(self):
-        assert epsilon_bits(bits("010", "010", "010"), 1) == 0.0
+        assert Endpoints(bits("010", "010", "010")).epsilon(1)[0] == 0.0
 
     def test_two_points(self):
-        assert epsilon_bits(bits("011", "000"), 1) == 2.0
+        assert Endpoints(bits("011", "000")).epsilon(1)[0] == 2.0
 
     def test_three_points(self):
-        assert epsilon_bits(bits("000", "001", "111"), 1) == pytest.approx(4 / 3)
+        got = Endpoints(bits("000", "001", "111")).epsilon(1)[0]
+        assert got == pytest.approx(4 / 3)
 
     def test_kth_only_mode(self):
         # pair distances are 1, 3, 2, so the 2-NN distances per point are
         # (1,3), (1,2), (2,3): kth_only averages the 2nd ones, mean_all all six
         pts = bits("000", "001", "111")
-        assert epsilon_bits(pts, 2, mode="kth_only") == pytest.approx(8 / 3)
-        assert epsilon_bits(pts, 2, mode="mean_all") == pytest.approx(2.0)
+        assert Endpoints(pts).epsilon(2, mode="kth_only")[0] == pytest.approx(8 / 3)
+        assert Endpoints(pts).epsilon(2, mode="mean_all")[0] == pytest.approx(2.0)
 
     def test_single_point_is_zero(self):
-        assert epsilon_bits(bits("0101"), 1) == 0.0
+        assert Endpoints(bits("0101")).epsilon(1)[0] == 0.0
 
     def test_k2_too_large(self):
         with pytest.raises(ValueError):
-            epsilon_bits(bits("00", "01"), 2)
+            Endpoints(bits("00", "01")).epsilon(2)
 
     @given(st.integers(1, 5).flatmap(lambda d: st.lists(
                st.lists(st.integers(0, 1), min_size=d, max_size=d),
@@ -47,7 +48,7 @@ class TestComputeEpsilon:
     def test_matches_per_point_loop(self, rows, mode, data):
         # few bits, so points repeat and distances tie heavily
         k2 = data.draw(st.integers(1, len(rows) - 1))
-        got = epsilon_bits(np.array(rows), k2, mode=mode)
+        got = Endpoints(np.array(rows)).epsilon(k2, mode=mode)[0]
         assert got == float(np.mean(epsilon_ref(rows, k2, mode)))
 
     @pytest.mark.parametrize("mode", ["mean_all", "kth_only"])
@@ -55,38 +56,37 @@ class TestComputeEpsilon:
         # epsilon runs on the distinct rows: 700 points of 10 bits hold 515,
         # so each distance block holds 63 queries
         rows = np.random.default_rng(5).integers(0, 2, size=(700, 10)).tolist()
-        got = epsilon_bits(np.array(rows), 7, mode=mode)
+        got = Endpoints(np.array(rows)).epsilon(7, mode=mode)[0]
         assert got == float(np.mean(epsilon_ref(rows, 7, mode)))
 
 
 class TestLabelClusters:
-    @pytest.mark.xfail(strict=True, reason=(
-        "epsilon_bits averages float per-row means, so an integer epsilon can "
-        "land one ulp below it, and label_bits cuts at the value it is given; "
-        "the exact fix moves recorded benchmark digests"))
     def test_integer_epsilon_keeps_its_edges(self):
         # the README's flow; the k2 = 3 distance means are 4/3, 1, 2/3, 1:
-        # exactly 1 on average, where the threshold graph is connected
-        x = bits("0001", "0000", "0010", "0000")
-        assert label_bits(x, epsilon_bits(x, 3)).num_clusters == 1
+        # exactly 1 on average, where the threshold graph is connected. The
+        # float epsilon can land one ulp below 1; the cut is its exact floor
+        ends = Endpoints(bits("0001", "0000", "0010", "0000"), [3])
+        t = ends.epsilon(3)[1]
+        assert t == 1
+        assert ends.labeling(t).num_clusters == 1
 
     def test_everything_merges_at_large_epsilon(self):
-        lab = label_bits(bits("000", "011", "110"), 3)
+        lab = Endpoints(bits("000", "011", "110")).labeling(3)
         assert lab.num_clusters == 1
         assert lab.single_cluster
 
     def test_zero_epsilon_groups_identical(self):
-        lab = label_bits(bits("000", "010", "000", "111"), 0)
+        lab = Endpoints(bits("000", "010", "000", "111")).labeling(0)
         assert lab.num_clusters == 3
         assert list(lab.labels) == [0, 1, 0, 2]
 
     def test_threshold_components(self):
-        lab = label_bits(bits("000", "001", "111"), 1)
+        lab = Endpoints(bits("000", "001", "111")).labeling(1)
         assert list(lab.labels) == [0, 0, 1]
 
     def test_transitive_chaining(self):
         # 0000 - 0001 - 0011 - 0111 chain with step 1 merges fully
-        lab = label_bits(bits("0000", "0001", "0011", "0111"), 1)
+        lab = Endpoints(bits("0000", "0001", "0011", "0111")).labeling(1)
         assert lab.num_clusters == 1
 
     @pytest.mark.parametrize("epsilon", [-1, np.nan, 0.5, 1.5, 4.5, np.inf, 1e300])
@@ -95,31 +95,31 @@ class TestLabelClusters:
         # 0, which still merges copies, where the oracle's H <= epsilon merges
         # nothing for -1 and NaN; d + 0.5, inf and 1e300 merge everything
         rows = [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1], [1, 1, 1, 1]]
-        lab = label_bits(np.array(rows), epsilon)
+        lab = Endpoints(np.array(rows)).labeling(epsilon)
         assert partition_of_labels(lab.labels.tolist()) == \
             partition_ref(rows, epsilon if epsilon >= 0 else 0)
 
     def test_prototypes_are_median_centers(self):
         pts = bits("000", "001", "011", "111")
-        lab = label_bits(pts, 1)
+        lab = Endpoints(pts).labeling(1)
         # one read-only uint8 row per cluster
         assert lab.prototypes.shape == (lab.num_clusters, 3)
         assert lab.prototypes.dtype == np.uint8
         assert not lab.prototypes.flags.writeable
         # labelings compare by identity, not array by array
-        assert (lab == label_bits(pts, 1)) is False and (lab == lab) is True
+        assert (lab == Endpoints(pts).labeling(1)) is False and (lab == lab) is True
         for cid in range(lab.num_clusters):
             members = pts[lab.labels == cid].tolist()
             assert lab.prototypes[cid].tolist() == majority_ref(members)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            label_bits(np.zeros((0, 3), dtype=np.uint8), 1)
+            Endpoints(np.zeros((0, 3), dtype=np.uint8)).labeling(1)
 
     def test_mixed_dims_rejected(self):
         # rows of different widths form no matrix
         with pytest.raises(ValueError):
-            label_bits([[0, 1], [0, 1, 1]], 1)
+            Endpoints([[0, 1], [0, 1, 1]])
 
 
 point_sets = st.integers(2, 10).flatmap(
@@ -132,7 +132,7 @@ class TestProperties:
     @settings(max_examples=150)
     def test_matches_union_find_oracle(self, rows, data):
         eps = data.draw(st.floats(0, len(rows[0]) + 1))
-        lab = label_bits(np.array(rows), eps)
+        lab = Endpoints(np.array(rows)).labeling(eps)
         assert partition_of_labels(list(lab.labels)) == partition_ref(rows, eps)
 
     @given(point_sets, st.data())
@@ -140,8 +140,8 @@ class TestProperties:
     def test_permutation_equivariance(self, rows, data):
         eps = data.draw(st.floats(0, len(rows[0])))
         perm = data.draw(st.permutations(range(len(rows))))
-        base = label_bits(np.array(rows), eps)
-        permuted = label_bits(np.array([rows[i] for i in perm]), eps)
+        base = Endpoints(np.array(rows)).labeling(eps)
+        permuted = Endpoints(np.array([rows[i] for i in perm])).labeling(eps)
         part_base = partition_of_labels(list(base.labels))
         part_perm = partition_of_labels(list(permuted.labels))
         # map permuted indices back to the original positions
@@ -153,14 +153,14 @@ class TestProperties:
     @settings(max_examples=60)
     def test_monotone_in_epsilon(self, rows):
         pts = np.array(rows)
-        counts = [label_bits(pts, eps).num_clusters
+        counts = [Endpoints(pts).labeling(eps).num_clusters
                   for eps in range(len(rows[0]) + 2)]
         assert counts == sorted(counts, reverse=True)
 
     @given(point_sets)
     @settings(max_examples=60)
     def test_labels_contiguous_first_appearance(self, rows):
-        lab = label_bits(np.array(rows), 1)
+        lab = Endpoints(np.array(rows)).labeling(1)
         seen = []
         for x in lab.labels:
             if x not in seen:
@@ -185,7 +185,7 @@ class TestMatrixFunctions:
     def test_deduped_epsilon_matches_per_point_loop(self, rows, mode, data):
         k2 = data.draw(st.integers(1, len(rows) - 1))
         want = float(np.mean(epsilon_ref(rows, k2, mode)))
-        assert epsilon_bits(np.array(rows), k2, mode) == want
+        assert Endpoints(np.array(rows)).epsilon(k2, mode)[0] == want
 
     def test_epsilon_across_blocks_with_duplicates(self):
         # 600 rows drawn from 400 distinct 12-bit vectors hold 300 of them,
@@ -197,14 +197,14 @@ class TestMatrixFunctions:
         pool = (codes[:, None] >> np.arange(12)) & 1
         rows = pool[rng.integers(0, 400, size=600)].tolist()
         for mode in ("mean_all", "kth_only"):
-            assert epsilon_bits(np.array(rows), 30, mode) == \
+            assert Endpoints(np.array(rows)).epsilon(30, mode)[0] == \
                 float(np.mean(epsilon_ref(rows, 30, mode)))
 
     @given(dup_rows, st.data())
     @settings(max_examples=200)
     def test_labeling_matches_reference(self, rows, data):
         eps = data.draw(st.floats(0, len(rows[0]) + 1))
-        lab = label_bits(np.array(rows), eps)
+        lab = Endpoints(np.array(rows)).labeling(eps)
         assert partition_of_labels(list(lab.labels)) == partition_ref(rows, eps)
         first_seen = list(dict.fromkeys(lab.labels.tolist()))
         assert first_seen == list(range(lab.num_clusters))
@@ -227,7 +227,7 @@ class TestMatrixFunctions:
         rng = np.random.default_rng(5)
         distinct = np.vstack([half, 1 - half])
         rows = distinct[rng.permutation(np.r_[:514, rng.integers(0, 514, 30)])]
-        lab = label_bits(rows, 1)
+        lab = Endpoints(rows).labeling(1)
         assert lab.num_clusters == 2
         assert partition_of_labels(lab.labels.tolist()) == \
             partition_ref(rows.tolist(), 1)
@@ -238,7 +238,7 @@ class TestMatrixFunctions:
         # distinct rows are at distance >= 1, so each is its own component
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "hamming_blocks", _no_kernel_call)
-            lab = label_bits(np.array(rows), eps)
+            lab = Endpoints(np.array(rows)).labeling(eps)
         assert partition_of_labels(lab.labels.tolist()) == partition_ref(rows, eps)
         distinct = list(dict.fromkeys(map(tuple, rows)))
         assert lab.labels.tolist() == [distinct.index(tuple(r)) for r in rows]
@@ -248,11 +248,11 @@ class TestMatrixFunctions:
 
     def test_rejects_non_binary_and_non_matrix(self):
         with pytest.raises(ValueError):
-            label_bits(np.array([[0, 2]]), 1)
+            Endpoints(np.array([[0, 2]]))
         with pytest.raises(ValueError):
-            epsilon_bits(np.array([0, 1, 1]), 1)
+            Endpoints(np.array([0, 1, 1]))
         with pytest.raises(ValueError):
-            label_bits(np.zeros((0, 3), dtype=np.uint8), 1)
+            Endpoints(np.zeros((0, 3), dtype=np.uint8)).labeling(1)
 
 
 class TestEndpoints:

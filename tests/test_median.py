@@ -77,6 +77,12 @@ class TestMajorityBits:
         assert majority_bits(bits, np.array([0.1, 0.2, 0.3]),
                              np.array([1])).tolist() == [1]
 
+    def test_fractional_near_tie_is_a_majority(self):
+        # 2 against 1.99999 is a majority, not a tie within np.isclose's
+        # default rtol of 1e-5
+        bits = np.array([[0], [1], [1], [0]], dtype=np.uint8)
+        assert majority_bits(bits, np.array([1.0, 1.0, 1.0, 0.99999])).tolist() == [1]
+
     @given(st.integers(1, 5).flatmap(lambda d: st.lists(
                st.lists(st.integers(0, 1), min_size=d, max_size=d),
                min_size=1, max_size=20)), st.data())

@@ -6,7 +6,7 @@ import pytest
 from binnnms.bga import ascend_bits
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_run
-from binnnms.labeling import epsilon_bits, label_bits
+from binnnms.labeling import Endpoints
 from binnnms.metrics import arand, nmi, quantization_error
 
 
@@ -27,8 +27,8 @@ class TestBinnnmsPipeline:
     def test_recovers_well_separated_clusters(self):
         data, centers = make_blobs()
         endpoints = ascend_bits(data, data.bits, 20).endpoints
-        eps = epsilon_bits(endpoints, k2=5)
-        lab = label_bits(endpoints, eps)
+        ends = Endpoints(endpoints, [5])
+        lab = ends.labeling(ends.epsilon(5)[1])
         assert lab.num_clusters == 5
         assert nmi(data.truth_labels, list(lab.labels)) == pytest.approx(1.0)
         assert arand(data.truth_labels, list(lab.labels)) == pytest.approx(1.0)
@@ -40,8 +40,8 @@ class TestBinnnmsPipeline:
     def test_quantization_error_decreases_along_ascent(self):
         data, _ = make_blobs(seed=3)
         endpoints = ascend_bits(data, data.bits, 20).endpoints
-        eps = epsilon_bits(endpoints, k2=5)
-        lab = label_bits(endpoints, eps)
+        ends = Endpoints(endpoints, [5])
+        lab = ends.labeling(ends.epsilon(5)[1])
         final = quantization_error(data, lab.labels, lab.prototypes)
         # initial error: points against the same prototypes before any ascent
         initial = float(np.mean([
@@ -71,5 +71,6 @@ class TestBinnnmsPipeline:
                 rows.append(row)
         data = Dataset(np.array(rows))
         endpoints = ascend_bits(data, data.bits, data.n).endpoints
-        lab = label_bits(endpoints, epsilon_bits(endpoints, 3))
+        ends = Endpoints(endpoints, [3])
+        lab = ends.labeling(ends.epsilon(3)[1])
         assert lab.single_cluster

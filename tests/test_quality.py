@@ -14,7 +14,7 @@ import pytest
 from binnnms.bga import ascend_bits
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_repeated
-from binnnms.labeling import epsilon_bits, label_bits
+from binnnms.labeling import Endpoints
 from binnnms.metrics import nmi
 from conftest import perfbench_workloads, planted_bits
 
@@ -44,7 +44,8 @@ def test_binnnms_finds_every_planted_centre(shape):
         bits, labels, centres = planted_bits(n, d, c, flip, seed)
         data = Dataset(bits)
         endpoints = ascend_bits(data, data.bits, 20).endpoints
-        lab = label_bits(endpoints, epsilon_bits(endpoints, 5))
+        ends = Endpoints(endpoints, [5])
+        lab = ends.labeling(ends.epsilon(5)[1])
         # the prototypes of the c largest clusters hold every planted centre
         largest = np.argsort(-np.bincount(lab.labels), kind="stable")[:c]
         found = {tuple(row) for row in lab.prototypes[largest].tolist()}
