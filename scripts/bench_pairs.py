@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds S]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...]
+        [--pairs 10] [--seconds S]
 
-Pair i runs `perfbench/run.py --workload W --seed i --seconds S` in both
-checkouts, the parent first in odd pairs and the change first in even ones;
-S defaults to BENCHMARK.json's `run_seconds`. The first result that is not
-`correct` ends the comparison (exit 1). Each pair's end-to-end metrics are
-printed, then for each metric: both sides' median and quartiles, the
-change's wins, losses and ties (direction from `better`), the relative
-change of the medians beside the metric's `bound`, and whether a claimed
-gain would hold: at least nine tenths of the pairs won (a tie counts for
-neither side) and a median gap wider than the parent's interquartile range.
+The workloads run one after another, each in its own pairs. Pair i runs
+`perfbench/run.py --workload W --seed i --seconds S` in both checkouts, the
+parent first in odd pairs and the change first in even ones; S defaults to
+BENCHMARK.json's `run_seconds`. The first result that is not `correct` ends
+the comparison (exit 1). Each pair's end-to-end metrics are printed, then
+for each metric: both sides' median and quartiles, the change's wins,
+losses and ties (direction from `better`), the relative change of the
+medians beside the metric's `bound`, and whether a claimed gain would hold:
+at least nine tenths of the pairs won (a tie counts for neither side) and a
+median gap wider than the parent's interquartile range. With more than one
+workload, each workload's pairs and summary follow a `workload W` line.
 """
 
 import argparse
@@ -72,34 +75,46 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
     return lines
 
 
+def compare(sides: dict, workload: str, pairs: int, seconds: float,
+            end_to_end: list[dict]) -> bool:
+    """Run and print the pairs of one workload, then its summary; False,
+    with no summary, at the first result that is not correct."""
+    names = [spec["name"] for spec in end_to_end]
+    results_by_pair = []
+    for seed in range(1, pairs + 1):
+        order = list(sides) if seed % 2 else list(sides)[::-1]
+        results = {}
+        for side in order:
+            results[side] = run_once(sides[side], workload, seed, seconds)
+            if not results[side]["correct"]:
+                print(f"pair {seed}: {side} not correct: {results[side]['problem']}")
+                return False
+        parent, change = (values(results[side]) for side in sides)
+        results_by_pair.append((parent, change))
+        print(f"pair {seed} ({order[0]} first): " + ", ".join(
+            f"{name} {parent[name]:.6g} -> {change[name]:.6g}" for name in names),
+            flush=True)
+    print("\n".join(summarize(results_by_pair, end_to_end)), flush=True)
+    return True
+
+
 def main() -> int:
     bench = json.loads(BENCHMARK.read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    names = [spec["name"] for spec in bench["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
-    pairs = []
-    for seed in range(1, args.pairs + 1):
-        order = list(sides) if seed % 2 else list(sides)[::-1]
-        results = {}
-        for side in order:
-            results[side] = run_once(sides[side], args.workload, seed, args.seconds)
-            if not results[side]["correct"]:
-                print(f"pair {seed}: {side} not correct: {results[side]['problem']}")
-                return 1
-        parent, change = (values(results[side]) for side in sides)
-        pairs.append((parent, change))
-        print(f"pair {seed} ({order[0]} first): " + ", ".join(
-            f"{name} {parent[name]:.6g} -> {change[name]:.6g}" for name in names),
-            flush=True)
-    print("\n".join(summarize(pairs, bench["end_to_end"])))
+    for workload in args.workload:
+        if len(args.workload) > 1:
+            print(f"workload {workload}", flush=True)
+        if not compare(sides, workload, args.pairs, args.seconds, bench["end_to_end"]):
+            return 1
     return 0
 
 

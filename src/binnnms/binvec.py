@@ -75,25 +75,25 @@ def _distance_dtype(words: int):
     return np.min_scalar_type(64 * words)
 
 
-def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
-    """Hamming distances from packed queries to every packed row, one query
-    block at a time: yields (block slice, (block, rows) distances), every
-    per-block temporary within BLOCK_BYTES.
-
-    The distances come in the narrowest unsigned type that holds 64 * words
-    (uint8 up to 3 words, uint16 above), so mind wraparound in arithmetic on
-    them. The rows are copied word-major once per call, so each word of a
-    query block is one (block, rows) XOR and popcount over contiguous
-    memory; the first word's popcount lands in the distances themselves.
-    Queries and rows of different word counts raise DimensionMismatch; equal
-    counts cannot tell a 10-bit row from a 64-bit one, so callers check d.
-    """
-    n, words = packed_rows.shape
+def _word_major(q_packed: np.ndarray, packed_rows: np.ndarray) -> np.ndarray:
+    """The (words, rows) contiguous copy of `packed_rows` that the kernel
+    scans. Queries and rows of different word counts raise DimensionMismatch;
+    equal counts cannot tell a 10-bit row from a 64-bit one, so callers
+    check d."""
+    words = packed_rows.shape[1]
     if q_packed.shape[1] != words:
         raise DimensionMismatch(f"incompatible packed widths: "
                                 f"{q_packed.shape[1]} words vs {words}")
+    return np.ascontiguousarray(packed_rows.T)
+
+
+def _hamming_cols(q_packed: np.ndarray, cols: np.ndarray):
+    """The kernel of `hamming_blocks`, over rows given word-major: column j
+    of the (words, rows) `cols` is row j's words, and each `cols[w]` is
+    contiguous. Each word of a query block is one (block, rows) XOR and
+    popcount; the first word's popcount lands in the distances themselves."""
+    words, n = cols.shape
     dtype = _distance_dtype(words)
-    cols = np.ascontiguousarray(packed_rows.T)
     blocks = row_blocks(q_packed.shape[0], 8 * n)
     size = blocks[0].stop if blocks else 0
     xor = np.empty((size, n), dtype=np.uint64)
@@ -110,10 +110,136 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
         yield sl, dist
 
 
+def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
+    """Hamming distances from packed queries to every packed row, one query
+    block at a time: yields (block slice, (block, rows) distances), every
+    per-block temporary within BLOCK_BYTES.
+
+    The distances come in the narrowest unsigned type that holds 64 * words
+    (uint8 up to 3 words, uint16 above), so mind wraparound in arithmetic on
+    them. The rows are copied word-major once per call. Queries and rows of
+    different word counts raise DimensionMismatch; equal counts cannot tell
+    a 10-bit row from a 64-bit one, so callers check d.
+    """
+    return _hamming_cols(q_packed, _word_major(q_packed, packed_rows))
+
+
 def _key_dtype(n: int, words: int):
     """int32 when every top-k key `distance * n + index` over n rows of
     `words` words fits in it, else int64."""
     return np.int32 if (64 * words + 1) * n <= np.iinfo(np.int32).max else np.int64
+
+
+# Every ceil(m / _LEADERS)-th query of a pruned `hamming_topk` is a leader.
+# Measured on the round-2 and round-3 iterates of the k1 = 20 ascent at
+# 5000x64 with 20% flips (seeds 1 and 4): 8 leaders planned 0.33-0.40 of
+# the dense pairs in round 3, and their sample fell back in round 2; 16
+# planned 0.12-0.15 in both rounds; 32 planned 0.12-0.14, with the prefix
+# lengths rounded up to powers of two, and the ascent's top-k total was no
+# faster (61.5-68.0 ms against 61.7-68.9 ms) for twice the leader pass.
+_LEADERS = 16
+
+
+def _select(keys: np.ndarray, blocks, index: np.ndarray, n: int) -> np.ndarray:
+    """Fill each row of the (queries, k) `keys` with the k least keys
+    `distance * n + index[j]` of its query's distances, from the (block
+    slice, distances) pairs `blocks`, column j holding row index[j]; the k
+    come unordered. Returns `keys`."""
+    k = keys.shape[1]
+    for sl, dist in blocks:
+        key = np.multiply(dist, n, dtype=keys.dtype)
+        key += index
+        key.partition(k - 1, axis=1)
+        keys[sl] = key[:, :k]
+    return keys
+
+
+def _nearest(lead_q: np.ndarray, q_packed: np.ndarray):
+    """(nearest, delta): the index into the packed leaders `lead_q` of each
+    packed query's nearest leader (the lower on a tie), and its distance."""
+    to_leader = np.concatenate([dist for _, dist in _hamming_cols(
+        lead_q, np.ascontiguousarray(q_packed.T))])
+    key = np.multiply(to_leader, len(lead_q), dtype=np.intp)
+    key += np.arange(len(lead_q))[:, None]
+    delta, nearest = np.divmod(key.min(axis=0), len(lead_q))
+    return nearest, delta
+
+
+def _span(length: np.ndarray, n: int) -> np.ndarray:
+    """Each prefix length rounded up to a power of two, at most n."""
+    return np.minimum(np.left_shift(1, np.frexp(length - 1)[1].astype(np.intp)), n)
+
+
+def _pays(groups: np.ndarray, counts, n: int, m: int) -> bool:
+    """Whether batches of `counts` queries, one per distinct key of `groups`
+    (leader * (n + 1) + prefix length), cost less than half a dense pass
+    of m queries over n rows, each batch weighing one block and its area
+    its blocks."""
+    size = groups % (n + 1)
+    return 2 * (len(groups) * BLOCK_BYTES + 8 * (size * counts).sum()) < 8 * m * n
+
+
+def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
+                   index: np.ndarray) -> None:
+    """`_select` for every query, scanning only rows that can be in its
+    top-k (a pivot bound; Chavez et al., ACM CSUR 2001).
+
+    Leaders take the dense pass. Every other query q takes its nearest
+    leader p, at delta = d(q, p). Each row r of q's top-k, a boundary tie
+    included, has d(p, r) <= d(q, r) + delta <= T_q + delta <= T_p + 2 delta,
+    T being the k-th distance. So q scans only the prefix of p's rows in
+    (distance from p, index) order up to that bound, rounded up to a power
+    of two, in one batch with the other queries of the same leader and
+    length; the key still carries the row's own index.
+
+    The other queries take the dense pass instead when the plan does not
+    pay (`_pays`), judged first on the queries midway between leaders, a
+    sample planned on its own, then on the full plan. The sample spares a
+    pass that no bound prunes, such as a self-join of noisy rows, the full
+    plan: that cost 4% of a 2000x240 self-join.
+    """
+    (m, k), (words, n) = keys.shape, cols.shape
+    step = -(-m // _LEADERS)
+    leaders = np.arange(0, m, step)
+    lead_q = q_packed[leaders]
+    blocks = list(_hamming_cols(lead_q, cols))
+    keys[leaders] = _select(np.empty((len(leaders), k), keys.dtype), blocks, index, n)
+    kth = keys[leaders].max(axis=1) // n
+    lead_dist = np.concatenate([dist for _, dist in blocks])
+    rest = np.delete(np.arange(m), leaders)
+    top = 64 * words  # the largest distance; the bounds are cut to it
+
+    # the sample's own batches, each standing for len(rest) / len(sample)
+    # queries: at most as many batches as the full plan, about its area
+    nearest, delta = _nearest(lead_q, q_packed[step // 2::step])
+    bound = np.minimum(kth[nearest] + 2 * delta, top).astype(lead_dist.dtype)
+    span = _span((lead_dist[nearest] <= bound[:, None]).sum(axis=1), n)
+    groups, counts = np.unique(nearest * (n + 1) + span, return_counts=True)
+    if _pays(groups, counts * len(rest) / len(span), n, m):
+        nearest, delta = _nearest(lead_q, q_packed[rest])
+        # within[p, t]: the rows within distance t of leader p
+        offset = (top + 1) * np.arange(len(leaders))[:, None]
+        within = np.bincount((lead_dist + offset).ravel(), minlength=offset.size * (top + 1))
+        within = within.reshape(len(leaders), top + 1).cumsum(axis=1)
+        span = _span(within[nearest, np.minimum(kth[nearest] + 2 * delta, top)], n)
+        groups, inverse, counts = np.unique(nearest * (n + 1) + span,
+                                            return_inverse=True, return_counts=True)
+        if _pays(groups, counts, n, m):
+            leader, size = np.divmod(groups, n + 1)
+            batches = np.split(rest[np.argsort(inverse, kind="stable")],
+                               np.cumsum(counts)[:-1])
+            for p in np.unique(leader):
+                lo, hi = np.searchsorted(leader, [p, p + 1])
+                # p's rows in (distance from p, index) order, up to its longest prefix
+                order = np.argsort(lead_dist[p], kind="stable")[:size[hi - 1]]
+                p_cols, p_index = cols[:, order], order.astype(keys.dtype)
+                for s, rows in zip(size[lo:hi], batches[lo:hi]):
+                    keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
+                                         _hamming_cols(q_packed[rows], p_cols[:, :s]),
+                                         p_index[:s], n)
+            return
+    keys[rest] = _select(np.empty((len(rest), k), keys.dtype),
+                         _hamming_cols(q_packed[rest], cols), index, n)
 
 
 def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
@@ -123,19 +249,22 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
     Both are (queries, k), ordered by (distance, row index), so a boundary
     tie goes to the lower index. The row index rides in the low part of the
     partition key `distance * n + index`, which makes every key unique; the
-    key is cast from the narrow distances by the multiply itself.
+    key is cast from the narrow distances by the multiply itself. A dense
+    pass spanning more than 16 blocks is pruned exactly: see
+    `_select_pruned`.
     """
     n, words = packed_rows.shape
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
+    cols = _word_major(q_packed, packed_rows)
+    m = q_packed.shape[0]
     dtype = _key_dtype(n, words)
-    keys = np.empty((q_packed.shape[0], k), dtype=dtype)
+    keys = np.empty((m, k), dtype=dtype)
     index = np.arange(n, dtype=dtype)
-    for sl, dist in hamming_blocks(q_packed, packed_rows):
-        key = np.multiply(dist, n, dtype=dtype)
-        key += index
-        key.partition(k - 1, axis=1)
-        keys[sl] = key[:, :k]
+    if k and 8 * m * n > 16 * BLOCK_BYTES:
+        _select_pruned(keys, q_packed, cols, index)
+    else:
+        _select(keys, _hamming_cols(q_packed, cols), index, n)
     keys.sort(axis=1)
     return keys % n, keys // n
 

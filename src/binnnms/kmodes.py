@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import _distance_dtype, _key_dtype, hamming_blocks, pack_bits, unique_rows
+from .binvec import _distance_dtype, _hamming_cols, _key_dtype, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -28,12 +28,13 @@ class KModesResult:
         return len(self.prototypes)
 
 
-def _refresh_rows(data: Dataset, dist: np.ndarray, proto: np.ndarray,
+def _refresh_rows(cols: np.ndarray, dist: np.ndarray, proto: np.ndarray,
                   rows: np.ndarray) -> None:
     """Recompute rows `rows` of the (k, n) distance matrix `dist` for their
-    prototypes `proto[rows]`, in one `hamming_blocks` call."""
+    prototypes `proto[rows]`, in one kernel call over `cols`, the data's
+    packed rows word-major."""
     if rows.size:
-        for sl, block in hamming_blocks(pack_bits(proto[rows]), data.packed):
+        for sl, block in _hamming_cols(pack_bits(proto[rows]), cols):
             dist[rows[sl]] = block
 
 
@@ -66,6 +67,7 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     # row j of dist holds the distances to proto[j]; a row depends only on
     # its prototype, so only the rows in `moved` are ever recomputed
     words = data.packed.shape[1]
+    cols = np.ascontiguousarray(data.packed.T)
     dist = np.empty((k, data.n), dtype=_distance_dtype(words))
     moved = np.arange(k)
     # each row's least key `distance * k + j` over the clusters j: the key
@@ -73,7 +75,7 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
     key_type = _key_dtype(k, words)
     cluster = np.arange(k, dtype=key_type)[:, None]
     for iterations in range(1, max_iter + 1):
-        _refresh_rows(data, dist, proto, moved)
+        _refresh_rows(cols, dist, proto, moved)
         key = np.multiply(dist, k, dtype=key_type)
         key += cluster
         key = key.min(axis=0)
@@ -91,7 +93,7 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
         moved = np.flatnonzero((new_proto != proto).any(axis=1))
         proto = new_proto
     else:  # stopped at max_iter: the moved rows predate the last update
-        _refresh_rows(data, dist, proto, moved)
+        _refresh_rows(cols, dist, proto, moved)
         total = float(dist[labels, np.arange(data.n)].sum())
     proto.flags.writeable = False
     return KModesResult(labels=labels, prototypes=proto, total_inertia=total,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binnnms import binvec
+from binnnms.bga import ascend_bits
 from binnnms.binvec import (
     BinaryVector,
     DimensionMismatch,
@@ -17,6 +18,7 @@ from binnnms.binvec import (
 from binnnms.ingest import Dataset
 from binnnms.kmodes import kmodes_run
 from binnnms.labeling import Endpoints
+from conftest import planted_bits
 from oracles import decode_ref, hamming_ref, knn_ref
 
 bitlists = st.lists(st.integers(0, 1), min_size=1, max_size=80)
@@ -244,6 +246,116 @@ class TestHammingTopk:
         assert idx.dtype == np.int64
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(dist, want_dist)
+
+
+def stable_topk(q_packed, packed_rows, k):
+    """(indices, distances) of a full stable argsort of each query's
+    distances, 256 queries at a time."""
+    idx, dist = [], []
+    for s in range(0, len(q_packed), 256):
+        d = np.bitwise_count(q_packed[s:s + 256, None, :] ^ packed_rows).sum(
+            axis=2, dtype=np.uint16)
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        idx.append(order)
+        dist.append(np.take_along_axis(d, order, axis=1))
+    return np.concatenate(idx), np.concatenate(dist)
+
+
+class TestPrunedTopk:
+    """`hamming_topk` above 16 blocks: leaders take the dense pass, every
+    other query scans a prefix of its nearest leader's rows."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """A list whose one item counts the (query, row) pairs the kernel
+        scans from then on."""
+        kernel, pairs = binvec._hamming_cols, [0]
+
+        def spy(q_packed, cols):
+            pairs[0] += len(q_packed) * cols.shape[1]
+            return kernel(q_packed, cols)
+
+        monkeypatch.setattr(binvec, "_hamming_cols", spy)
+        return pairs
+
+    def test_matches_full_stable_sort(self):
+        # rows drawn around a few centres, often with no flips at all, so
+        # duplicates and ties at the boundary abound; queries are the rows,
+        # some of the rows, or new points near the centres. 8-, 32- and
+        # 320-byte blocks put the plan over 16 blocks almost always.
+        scanned = {True: 0, False: 0}  # examples by: fewer pairs than dense?
+
+        @given(st.sampled_from([1, 63, 64, 65, 130, 240]), st.integers(1, 8),
+               st.integers(2, 120), st.integers(0, 2**32 - 1), st.data())
+        @settings(max_examples=250, deadline=None)
+        def check(d, pool, n, seed, data):
+            rng = np.random.default_rng(seed)
+            centres = rng.integers(0, 2, size=(pool, d), dtype=np.uint8)
+            flip = data.draw(st.sampled_from([0, 0.02, 0.2]))
+            bits = centres[rng.integers(0, pool, n)] ^ (rng.random((n, d)) < flip)
+            rows = pack_bits(bits)
+            queries = data.draw(st.sampled_from(["self", "rows", "near"]))
+            m = data.draw(st.integers(1, 150))
+            if queries == "self":
+                q = rows
+            elif queries == "rows":
+                q = rows[rng.integers(0, n, m)]
+            else:
+                q = pack_bits(centres[rng.integers(0, pool, m)]
+                              ^ (rng.random((m, d)) < 0.05))
+            k = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(binvec, "BLOCK_BYTES", 8 * data.draw(st.sampled_from([1, 4, 40])))
+                pairs = self.spied(mp)
+                idx, dist = hamming_topk(q, rows, k)
+            want_idx, want_dist = stable_topk(q, rows, k)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(dist, want_dist)
+            scanned[pairs[0] < len(q) * n] += 1
+
+        check()
+        # the plan pruned some inputs and fell back on others
+        assert scanned[True] and scanned[False]
+
+    def test_every_query_a_leader(self, monkeypatch):
+        # 10 queries against 200 rows span 20 blocks of 800 bytes: each query
+        # is its own leader, so no query is left to plan
+        monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
+        rng = np.random.default_rng(7)
+        rows = pack_bits(rng.integers(0, 2, size=(200, 65)))
+        pairs = self.spied(monkeypatch)
+        for q in (rows[:10], rows[::20], pack_bits(rng.integers(0, 2, size=(10, 65)))):
+            for k in (1, 7, 200):
+                idx, dist = hamming_topk(q, rows, k)
+                want_idx, want_dist = stable_topk(q, rows, k)
+                assert np.array_equal(idx, want_idx)
+                assert np.array_equal(dist, want_dist)
+        # per call, the leader pass and the sample's distances to the
+        # leaders were all the work
+        assert pairs[0] == 3 * 3 * (10 * 200 + 10 * 10)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_ascent_rounds(self, monkeypatch, seed):
+        # the k1 = 20 ascent on the cluster-noisy5k shape: round 1 queries
+        # the 5000 noisy rows, which no bound prunes, so it scans the dense
+        # pairs plus at most the leader pass; the round-2 iterates lie near
+        # their centres and scan under 30% of the dense pairs
+        bits, _, _ = planted_bits(5000, 64, 10, 0.2, seed)
+        data = Dataset(bits)
+        pairs = self.spied(monkeypatch)
+        n, leaders = data.n, binvec._LEADERS
+        idx, dist = hamming_topk(data.packed, data.packed, 20)
+        assert pairs[0] <= n * n + leaders * (n + n)
+        want_idx, want_dist = stable_topk(data.packed, data.packed, 20)
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+
+        x1 = pack_bits(ascend_bits(data, bits, 20, j_max=1).endpoints)
+        q = x1[unique_rows(x1)[0]]
+        pairs[0] = 0
+        idx, dist = hamming_topk(q, data.packed, 20)
+        assert pairs[0] < 0.3 * len(q) * n
+        want_idx, want_dist = stable_topk(q, data.packed, 20)
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
 
 
 class TestUniqueRows:

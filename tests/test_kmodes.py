@@ -220,14 +220,14 @@ class TestReference:
         # rows drawn around a few planted centres: after the first update
         # some prototypes settle while others still move, so the loop
         # recomputes only part of its distance matrix
-        kernel = binnnms.kmodes.hamming_blocks
+        kernel = binnnms.kmodes._hamming_cols
         sent = []  # prototype rows per kernel call, one list per run
 
-        def counting(q_packed, packed_rows):
+        def counting(q_packed, cols):
             sent[-1].append(len(q_packed))
-            return kernel(q_packed, packed_rows)
+            return kernel(q_packed, cols)
 
-        monkeypatch.setattr(binnnms.kmodes, "hamming_blocks", counting)
+        monkeypatch.setattr(binnnms.kmodes, "_hamming_cols", counting)
 
         @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 100]))
         @settings(max_examples=150, deadline=None)
@@ -247,6 +247,23 @@ class TestReference:
         check()
         # some iteration after a run's first recomputed fewer than k rows
         assert any(m < run[0] for run in sent for m in run[1:])
+
+    def test_one_word_major_copy_per_run(self, monkeypatch):
+        # every kernel call of a run scans the same word-major copy of the
+        # data, built once; each restart builds its own
+        kernel = binnnms.kmodes._hamming_cols
+        scanned = []  # the columns of each kernel call
+
+        def recorded(q_packed, cols):
+            scanned.append(cols)
+            return kernel(q_packed, cols)
+
+        monkeypatch.setattr(binnnms.kmodes, "_hamming_cols", recorded)
+        ds = Dataset(np.tile(dataset(RESEED_ROWS).bits, (3, 1)))
+        runs = kmodes_repeated(ds, 3, runs=2, base_seed=11754)
+        assert len(scanned) > len(runs)
+        assert len({id(cols) for cols in scanned}) == len(runs)
+        assert all(np.array_equal(cols, ds.packed.T) for cols in scanned)
 
 
 class TestQuantizationIdentity:

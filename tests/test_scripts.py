@@ -99,3 +99,45 @@ def test_bench_pairs_summary(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1:] == ["pair 2: change not correct: command 3: exit code 3"]
     assert calls[-1][:3] == ("change", "w", "2")  # the parent's pair 2 never ran
+
+
+def test_bench_pairs_summarizes_each_workload(monkeypatch, capsys):
+    # two workloads of two pairs: run_s halves on "fast" and stays on "same";
+    # each workload's pairs and summary follow its own header line
+    run_s = {("parent", "fast"): 1.0, ("change", "fast"): 0.5,
+             ("parent", "same"): 0.2, ("change", "same"): 0.2}
+    calls = []
+
+    def canned(argv, cwd, **kwargs):
+        option = dict(zip(argv[2::2], argv[3::2]))
+        calls.append((option["--workload"], cwd.name, option["--seed"]))
+        value = run_s[cwd.name, option["--workload"]]  # None: a failed run
+        stdout = _run_output(value or 1.0, 0.1, 40.0, 0.9, correct=value is not None)
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "subprocess", SimpleNamespace(run=canned))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "parent", "change", "--pairs", "2",
+                                      "--workload", "fast", "--workload", "same"])
+    assert main() == 0
+    assert calls == [("fast", "parent", "1"), ("fast", "change", "1"),
+                     ("fast", "change", "2"), ("fast", "parent", "2"),
+                     ("same", "parent", "1"), ("same", "change", "1"),
+                     ("same", "change", "2"), ("same", "parent", "2")]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 * (1 + 2 + 5)
+    assert [out[0], out[8]] == ["workload fast", "workload same"]
+    assert out[1].startswith("pair 1 (parent first): run_s 1 -> 0.5,")
+    assert out[9].startswith("pair 1 (parent first): run_s 0.2 -> 0.2,")
+    assert out[3].startswith("run_s: parent 1 [1, 1], change 0.5 [0.5, 0.5] s; 2 won")
+    assert out[3].endswith("claim holds")
+    assert out[11].startswith("run_s: parent 0.2 [0.2, 0.2], change 0.2 [0.2, 0.2] s; "
+                              "0 won, 0 lost, 2 tied")
+    assert out[11].endswith("claim does not hold")
+
+    # a result that is not correct in the second workload ends the
+    # comparison after the first workload's summary
+    run_s["change", "same"] = None
+    assert main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[8:] == ["workload same", "pair 1: change not correct: command 3: exit code 3"]
