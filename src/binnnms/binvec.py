@@ -87,26 +87,47 @@ def _word_major(q_packed: np.ndarray, packed_rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed_rows.T)
 
 
+def _count(q: np.ndarray, cols: np.ndarray, xor: np.ndarray, ones: np.ndarray,
+           dist: np.ndarray) -> None:
+    """Fill the (block, rows) `dist` with the distances from the packed
+    queries `q` to the word-major rows `cols`: one XOR and popcount per word,
+    the first word's popcount landing in `dist` itself."""
+    np.bitwise_xor(q[:, 0, None], cols[0], out=xor)
+    np.bitwise_count(xor, out=dist)
+    for w in range(1, cols.shape[0]):
+        np.bitwise_xor(q[:, w, None], cols[w], out=xor)
+        dist += np.bitwise_count(xor, out=ones)
+
+
 def _hamming_cols(q_packed: np.ndarray, cols: np.ndarray):
     """The kernel of `hamming_blocks`, over rows given word-major: column j
     of the (words, rows) `cols` is row j's words, and each `cols[w]` is
-    contiguous. Each word of a query block is one (block, rows) XOR and
-    popcount; the first word's popcount lands in the distances themselves."""
+    contiguous.
+
+    Below np.getbufsize() / 3 rows NumPy sends the broadcast query column
+    through its ufunc buffer, and the XOR runs 1.5-3x slower per element. A
+    block of at least 8192 elements there runs under a buffer just over one
+    row, scoped by np.errstate, which restores it before each yield: at
+    2000x2000 and 4 words 1.65 -> 0.95 ns per element, and 10 queries against
+    2000 rows of 4 words 143 -> 86 us (2 vCPUs, numpy 2.4.6)."""
     words, n = cols.shape
     dtype = _distance_dtype(words)
     blocks = row_blocks(q_packed.shape[0], 8 * n)
     size = blocks[0].stop if blocks else 0
     xor = np.empty((size, n), dtype=np.uint64)
     ones = np.empty((size, n), dtype=dtype)
+    # the first block is the largest: smaller calls never read the buffer size
+    short = size * n >= 8192 and 3 * n < np.getbufsize()
     for sl in blocks:
         q = q_packed[sl]
         b = len(q)
         dist = np.empty((b, n), dtype=dtype)
-        np.bitwise_xor(q[:, 0, None], cols[0], out=xor[:b])
-        np.bitwise_count(xor[:b], out=dist)
-        for w in range(1, words):
-            np.bitwise_xor(q[:, w, None], cols[w], out=xor[:b])
-            dist += np.bitwise_count(xor[:b], out=ones[:b])
+        if short and b * n >= 8192:
+            with np.errstate():
+                np.setbufsize(max(16, 1 << n.bit_length()))  # a multiple of 16
+                _count(q, cols, xor[:b], ones[:b], dist)
+        else:
+            _count(q, cols, xor[:b], ones[:b], dist)
         yield sl, dist
 
 
@@ -170,13 +191,23 @@ def _span(length: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(np.left_shift(1, np.frexp(length - 1)[1].astype(np.intp)), n)
 
 
+# What a planned batch costs beyond its area, in dense blocks: a dozen
+# NumPy calls (the kernel's set-up, the key, the partition, the scatter).
+# Measured at 5000 rows of 64 bits and k = 20 (2 vCPUs, numpy 2.4.6): a batch
+# of 1-2 queries over 32-64 rows takes 14.7-15.0 us, a dense block 60-62 us.
+# Weighed at 0.25 instead of 1, round 3 of the k1 = 20 ascent on that shape
+# is planned (about 8 -> 3.5-4 ms at seed 1) where it fell back.
+_BATCH_WEIGHT = 0.25
+
+
 def _pays(groups: np.ndarray, counts, n: int, m: int) -> bool:
     """Whether batches of `counts` queries, one per distinct key of `groups`
     (leader * (n + 1) + prefix length), cost less than half a dense pass
-    of m queries over n rows, each batch weighing one block and its area
-    its blocks."""
+    of m queries over n rows, each batch weighing _BATCH_WEIGHT blocks
+    beyond its area."""
     size = groups % (n + 1)
-    return 2 * (len(groups) * BLOCK_BYTES + 8 * (size * counts).sum()) < 8 * m * n
+    batches = _BATCH_WEIGHT * len(groups) * BLOCK_BYTES
+    return 2 * (batches + 8 * (size * counts).sum()) < 8 * m * n
 
 
 def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,

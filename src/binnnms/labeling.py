@@ -62,7 +62,8 @@ class Endpoints:
         self._packed = pack_bits(self.bits)
         self._first, self._inverse = unique_rows(self._packed)
         self._k2s = list(k2s)
-        self._index = self._nearest = None  # the distinct rows' top-k
+        self._index = self._nearest = None  # the distinct rows' top-k among them
+        self._within = None  # each distinct row's least distances to all m rows
         self._labelings = {}  # integer threshold -> ClusterLabeling
 
     def epsilon(self, k2: int, mode="mean_all") -> tuple[float, int]:
@@ -82,18 +83,15 @@ class Endpoints:
             return 0.0, 0
         if k2 >= m:
             raise ValueError(f"k2 must be at most m-1 = {m - 1}, got {k2}")
-        if self._nearest is None or self._nearest.shape[1] <= k2:
-            # in (distance, index) order every top-(k2 + 1) is a prefix of
-            # the top-(K + 1); column 0 is a distance-0 copy of the row
-            # itself, so the rest are its nearest others
-            k = min(max([k2, *self._k2s]), m - 1) + 1
-            self._index, self._nearest = hamming_topk(self._packed[self._first],
-                                                      self._packed, k)
+        if self._within is None or self._within.shape[1] <= k2:
+            # every k2 + 1 least distances are a prefix of the K + 1 least;
+            # column 0 is the row itself, so the rest are its nearest others
+            self._top(min(max([k2, *self._k2s]), m - 1) + 1)
         if mode == "kth_only":
-            totals = per_row = self._nearest[:, k2]
+            totals = per_row = self._within[:, k2]
             count = m
         else:
-            totals = self._nearest[:, 1:k2 + 1].sum(axis=1)
+            totals = self._within[:, 1:k2 + 1].sum(axis=1)
             per_row, count = totals / k2, k2 * m
         # the same per-point values, in the same order, as a per-point top-k gives
         epsilon = float(per_row[self._inverse].mean())
@@ -118,6 +116,17 @@ class Endpoints:
             self._labelings[t] = ClusterLabeling(labels, protos)
         return self._labelings[t]
 
+    def _top(self, k: int) -> None:
+        """The distinct rows' top-k among themselves (all U when fewer), and
+        from it each one's k least distances to all m rows: a listed row
+        stands for its copies, so those are the first k copies down its
+        list. Every listed row has a copy, so the list holds k of them."""
+        upacked = self._packed[self._first]
+        self._index, self._nearest = hamming_topk(upacked, upacked, min(k, len(upacked)))
+        reach = np.minimum(np.bincount(self._inverse)[self._index].cumsum(axis=1), k)
+        copies = np.diff(reach, axis=1, prepend=0)
+        self._within = np.repeat(self._nearest.ravel(), copies.ravel()).reshape(-1, k)
+
     def _edges(self, t: int):
         """Chunks (a, b) of distinct rows, each pair within t in one. A row
         whose last top-k distance is above t lists them all, so the other
@@ -128,7 +137,7 @@ class Endpoints:
             rows, dense = np.flatnonzero(listed), np.flatnonzero(~listed)
             for sl in row_blocks(len(rows), 8 * self._nearest.shape[1]):
                 i, j = np.nonzero(self._nearest[rows[sl]] <= t)
-                yield rows[sl][i], self._inverse[self._index[rows[sl][i], j]]
+                yield rows[sl][i], self._index[rows[sl][i], j]
         upacked = self._packed[self._first[dense]]
         for sl, dist in hamming_blocks(upacked, upacked) if len(dense) else ():
             i, j = np.divmod(np.flatnonzero(dist <= t), len(dense))

@@ -156,6 +156,70 @@ class TestHammingBlocks:
             [(slice(0, 3), (3, 0))] if m else [])
 
 
+class TestBufferScope:
+    """The kernel runs blocks of short rows under a ufunc buffer of its own,
+    and the caller's buffer size holds again before each block is yielded."""
+
+    SIZES = [16, None, 65536]  # the caller's buffer size; None: the default
+
+    @staticmethod
+    def under(size, fn):
+        """fn() with the caller's buffer at `size`, then the size it left."""
+        with np.errstate():
+            if size is not None:
+                np.setbufsize(size)
+            want = np.getbufsize()
+            out = fn()
+            assert np.getbufsize() == want
+        return out
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("n", [1, 267, 2000, 2729, 2731, 5000])
+    @pytest.mark.parametrize("d", [70, 240])
+    def test_distances_at_every_buffer_size(self, n, d, size):
+        # enough queries for a block of at least 8192 elements; 2729 rows are
+        # the last under a third of the default buffer, 2731 the first over
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
+        queries = rng.integers(0, 2, size=(8192 // n + 3, d), dtype=np.uint8)
+        blocks = self.under(size, lambda: list(
+            hamming_blocks(pack_bits(queries), pack_bits(bits))))
+        assert max(len(dist) for _, dist in blocks) * n >= 8192
+        got = np.concatenate([dist for _, dist in blocks])
+        assert np.array_equal(got, (queries[:, None, :] != bits).sum(axis=2))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_public_calls_leave_the_buffer(self, size):
+        bits, _, _ = planted_bits(2000, 240, 10, 0.15, 0)
+        data = Dataset(bits)
+        packed = data.packed
+        self.under(size, lambda: list(hamming_blocks(packed[:40], packed)))
+        idx, dist = self.under(size, lambda: hamming_topk(packed, packed, 5))
+        assert np.array_equal(dist, stable_topk(packed, packed, 5)[1])
+        self.under(size, lambda: kmodes_run(data, 10, seed=0, max_iter=3))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_closed_generator_and_mismatch_leave_the_buffer(self, size):
+        rows = pack_bits(np.random.default_rng(0).integers(0, 2, size=(2000, 240)))
+
+        def first_block_then_close():
+            blocks = hamming_blocks(rows[:100], rows)
+            want = np.getbufsize()
+            next(blocks)
+            assert np.getbufsize() == want  # restored before the yield
+            blocks.close()
+
+        self.under(size, first_block_then_close)
+
+        def mismatch():
+            with pytest.raises(DimensionMismatch):
+                list(hamming_blocks(rows[:, :2], rows))
+            with pytest.raises(DimensionMismatch):
+                hamming_topk(rows[:, :2], rows, 3)
+
+        self.under(size, mismatch)
+
+
 class TestWidestDistances:
     """All-ones against all-zeros rows, at the widths where the narrow
     distance type steps from uint8 (3 words) to uint16 (4 words): the
@@ -338,8 +402,10 @@ class TestPrunedTopk:
     def test_ascent_rounds(self, monkeypatch, seed):
         # the k1 = 20 ascent on the cluster-noisy5k shape: round 1 queries
         # the 5000 noisy rows, which no bound prunes, so it scans the dense
-        # pairs plus at most the leader pass; the round-2 iterates lie near
-        # their centres and scan under 30% of the dense pairs
+        # pairs plus at most the leader pass; the iterates of rounds 2 and 3
+        # lie near their centres and scan under 30% of the dense pairs.
+        # Round 3 (hundreds of iterates, dozens of batches) is planned only
+        # because a batch weighs a quarter of a block
         bits, _, _ = planted_bits(5000, 64, 10, 0.2, seed)
         data = Dataset(bits)
         pairs = self.spied(monkeypatch)
@@ -349,13 +415,16 @@ class TestPrunedTopk:
         want_idx, want_dist = stable_topk(data.packed, data.packed, 20)
         assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
 
-        x1 = pack_bits(ascend_bits(data, bits, 20, j_max=1).endpoints)
-        q = x1[unique_rows(x1)[0]]
-        pairs[0] = 0
-        idx, dist = hamming_topk(q, data.packed, 20)
-        assert pairs[0] < 0.3 * len(q) * n
-        want_idx, want_dist = stable_topk(q, data.packed, 20)
-        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        # each round queries the distinct iterates of the ascents still moving
+        (_, x1), (ids, x2) = ascend_bits(data, bits, 20, j_max=2).rounds
+        for x in (x1[(x1 != bits).any(axis=1)], x2[(x2 != x1[ids]).any(axis=1)]):
+            q = pack_bits(x)
+            q = q[unique_rows(q)[0]]
+            pairs[0] = 0
+            idx, dist = hamming_topk(q, data.packed, 20)
+            assert pairs[0] < 0.3 * len(q) * n
+            want_idx, want_dist = stable_topk(q, data.packed, 20)
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
 
 
 class TestUniqueRows:

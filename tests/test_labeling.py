@@ -189,8 +189,8 @@ class TestMatrixFunctions:
 
     def test_epsilon_across_blocks_with_duplicates(self):
         # 600 rows drawn from 400 distinct 12-bit vectors hold 300 of them,
-        # so each distance block holds 54 of the 300 distinct queries against
-        # all 600 rows; k2 = 30 reaches past the copies of the nearest few
+        # so each distance block holds 109 of the 300 distinct rows against
+        # all 300; k2 = 30 reaches past the copies of the nearest few
         # distinct rows
         rng = np.random.default_rng(3)
         codes = rng.choice(1 << 12, size=400, replace=False)
@@ -332,10 +332,12 @@ class TestEndpoints:
 
         for name in calls:
             monkeypatch.setattr(labeling, name, counted(name, getattr(labeling, name)))
-        # ten copies of one row fill its top-10 list with distance 0, so that
-        # row is dense at every cut and each cut >= 1 runs one kernel pass
+        # the ones row and its 12 neighbours at distance 1 fill the ones
+        # row's top-10 list of distinct rows within distance 1, so that row
+        # is dense at every cut and each cut >= 1 runs one kernel pass
         rng = np.random.default_rng(2)
-        rows = np.vstack([rng.integers(0, 2, size=(60, 8)), np.ones((10, 8), int)])
+        ball = 1 - np.vstack([np.zeros((1, 12), int), np.eye(12, dtype=int)])
+        rows = np.vstack([rng.integers(0, 2, size=(60, 12)), ball])
         ends = Endpoints(rows, range(1, 10))
         cuts = set()
         for k2 in range(1, 10):
@@ -351,3 +353,44 @@ class TestEndpoints:
         kernel_cuts = [cut for cut in cuts if cut >= 1]
         assert len(kernel_cuts) > 1
         assert calls == {"hamming_topk": 1, "hamming_blocks": len(kernel_cuts)}
+
+
+class EveryRowTopk(Endpoints):
+    """`Endpoints` whose top-k runs each distinct row against all m rows and
+    maps the listed rows to distinct ones: the U x m form that the top-k of
+    the distinct rows among themselves replaced."""
+
+    def _top(self, k):
+        index, self._within = binvec.hamming_topk(self._packed[self._first],
+                                                  self._packed, k)
+        self._index, self._nearest = self._inverse[index], self._within
+
+
+class TestDistinctRowTopk:
+    @pytest.mark.parametrize("told", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_top_k_over_every_row(self, seed, told):
+        # six distinct 10-bit rows with 4-7 copies each: the first k2 of an
+        # every-row list are the row's own copies for k2 below 4, and every
+        # k2 in 1..m-1 is checked in both modes. Epsilon, its threshold, and
+        # the labels and prototypes at every cut are the same in both forms
+        # and the same as a labeling with no epsilon asked first
+        rng = np.random.default_rng(seed)
+        d = 10
+        copies = rng.integers(4, 8, size=6)
+        pool = rng.choice(1 << d, size=6, replace=False)[:, None] >> np.arange(d) & 1
+        rows = np.repeat(pool, copies, axis=0)[rng.permutation(copies.sum())]
+        m = len(rows)
+        fresh = Endpoints(rows)
+        for k2 in range(1, m):
+            for mode in ("mean_all", "kth_only"):
+                k2s = range(1, m) if told else [k2]
+                ends, every = Endpoints(rows, k2s), EveryRowTopk(rows, k2s)
+                got = ends.epsilon(k2, mode)
+                assert got == every.epsilon(k2, mode)
+                assert got[0] == float(np.mean(epsilon_ref(rows.tolist(), k2, mode)))
+                for cut in {got[1], *range(d + 1)}:
+                    lab = ends.labeling(cut)
+                    for want in (every.labeling(cut), fresh.labeling(cut)):
+                        assert np.array_equal(lab.labels, want.labels)
+                        assert np.array_equal(lab.prototypes, want.prototypes)
