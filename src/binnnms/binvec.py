@@ -9,8 +9,8 @@ import numpy as np
 _WORD_BITS = 64
 
 # Cap, in bytes, on each temporary of the blocked Hamming kernel: the
-# (queries, rows) uint64 XOR block; its narrow counts and distances are
-# smaller.
+# (queries, rows) uint64 XOR block, and the int32 or int64 top-k key buffer
+# of a keyed call; its narrow counts and distances are smaller.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -87,6 +87,44 @@ def _word_major(q_packed: np.ndarray, packed_rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed_rows.T)
 
 
+def _key_layout(n: int, words: int):
+    """(dtype, half) of the top-k key `distance << half | index` over n rows
+    of `words` words: int32 with half = 16 while every index and distance
+    fits in its half (n <= 2^16 and 64 * words < 2^15), else int64 with
+    half = 32. Every key is then unique and non-negative, and orders by
+    (distance, index)."""
+    if n <= 1 << 16 and 64 * words < 1 << 15:
+        return np.int32, 16
+    return np.int64, 32
+
+
+def _high(keys: np.ndarray, dtype) -> np.ndarray:
+    """The view, as the narrow unsigned `dtype`, of the low end of each
+    key's high half: writing a distance through it sets `distance << half`
+    when the high half was zero. The sub-element is found by writing
+    1 << half into a key, so it holds in either byte order."""
+    probe = np.array([1 << 4 * keys.itemsize], keys.dtype).view(dtype)
+    at = int(np.flatnonzero(probe)[0])
+    return keys.view(dtype)[..., at::len(probe)]
+
+
+def _decode(keys: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, distance) of the keys `distance << half | index`."""
+    return keys & (1 << half) - 1, keys >> half
+
+
+def _row_keys(k: int, n: int, words: int):
+    """(keys, dist, half): a (k, n) key matrix whose row j holds
+    `distance << half | j` (`_key_layout` over k ids), with the ids written
+    and `dist`, the view of the keys' high half, left for the distances
+    over rows of `words` words. Each column's least key then names its
+    nearest row, the lower on a tie."""
+    dtype, half = _key_layout(k, words)
+    keys = np.empty((k, n), dtype=dtype)
+    np.copyto(keys, np.arange(k, dtype=dtype)[:, None])
+    return keys, _high(keys, _distance_dtype(words)), half
+
+
 def _count(q: np.ndarray, cols: np.ndarray, xor: np.ndarray, ones: np.ndarray,
            dist: np.ndarray) -> None:
     """Fill the (block, rows) `dist` with the distances from the packed
@@ -99,10 +137,23 @@ def _count(q: np.ndarray, cols: np.ndarray, xor: np.ndarray, ones: np.ndarray,
         dist += np.bitwise_count(xor, out=ones)
 
 
-def _hamming_cols(q_packed: np.ndarray, cols: np.ndarray):
+def _hamming_cols(q_packed: np.ndarray, cols: np.ndarray,
+                  index: np.ndarray | None = None):
     """The kernel of `hamming_blocks`, over rows given word-major: column j
     of the (words, rows) `cols` is row j's words, and each `cols[w]` is
     contiguous.
+
+    Given the (rows,) int32 or int64 `index`, it yields top-k keys in
+    place of distances: column j of each block is `distance << half |
+    index[j]`, half being half the key's width (`_key_layout`). The keys
+    live in one (block, rows) buffer that every block reuses, so a caller
+    is done with a block before it takes the next. Each block is filled
+    with `index`, and the distances land in its high half (`_high`): a
+    one-word popcount writes there directly; wider rows add up in a
+    contiguous buffer, copied there once. At 20000x256 (one query per
+    block) adding the last word through the strided view cost about 3% over
+    the copy, and every word's add through it made the 2000x240 digits
+    shape 16% slower.
 
     Below np.getbufsize() / 3 rows NumPy sends the broadcast query column
     through its ufunc buffer, and the XOR runs 1.5-3x slower per element. A
@@ -116,18 +167,30 @@ def _hamming_cols(q_packed: np.ndarray, cols: np.ndarray):
     size = blocks[0].stop if blocks else 0
     xor = np.empty((size, n), dtype=np.uint64)
     ones = np.empty((size, n), dtype=dtype)
+    if index is not None:
+        keys = np.empty((size, n), dtype=index.dtype)
+        high = _high(keys, dtype)
+        sums = high if words == 1 else np.empty((size, n), dtype=dtype)
     # the first block is the largest: smaller calls never read the buffer size
     short = size * n >= 8192 and 3 * n < np.getbufsize()
     for sl in blocks:
         q = q_packed[sl]
         b = len(q)
-        dist = np.empty((b, n), dtype=dtype)
+        if index is None:
+            dist = np.empty((b, n), dtype=dtype)
+        else:
+            dist = sums[:b]
+            np.copyto(keys[:b], index)
         if short and b * n >= 8192:
             with np.errstate():
                 np.setbufsize(max(16, 1 << n.bit_length()))  # a multiple of 16
                 _count(q, cols, xor[:b], ones[:b], dist)
         else:
             _count(q, cols, xor[:b], ones[:b], dist)
+        if index is not None:
+            if sums is not high:
+                np.copyto(high[:b], dist)
+            dist = keys[:b]
         yield sl, dist
 
 
@@ -145,12 +208,6 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     return _hamming_cols(q_packed, _word_major(q_packed, packed_rows))
 
 
-def _key_dtype(n: int, words: int):
-    """int32 when every top-k key `distance * n + index` over n rows of
-    `words` words fits in it, else int64."""
-    return np.int32 if (64 * words + 1) * n <= np.iinfo(np.int32).max else np.int64
-
-
 # Every ceil(m / _LEADERS)-th query of a pruned `hamming_topk` is a leader.
 # Measured on the round-2 and round-3 iterates of the k1 = 20 ascent at
 # 5000x64 with 20% flips (seeds 1 and 4): 8 leaders planned 0.33-0.40 of
@@ -161,15 +218,13 @@ def _key_dtype(n: int, words: int):
 _LEADERS = 16
 
 
-def _select(keys: np.ndarray, blocks, index: np.ndarray, n: int) -> np.ndarray:
-    """Fill each row of the (queries, k) `keys` with the k least keys
-    `distance * n + index[j]` of its query's distances, from the (block
-    slice, distances) pairs `blocks`, column j holding row index[j]; the k
-    come unordered. Returns `keys`."""
+def _select(keys: np.ndarray, blocks) -> np.ndarray:
+    """Fill each row of the (queries, k) `keys` with the k least of its
+    query's keys, from the (block slice, keys) pairs `blocks` of a keyed
+    `_hamming_cols`, each block partitioned in place; the k come
+    unordered. Returns `keys`."""
     k = keys.shape[1]
-    for sl, dist in blocks:
-        key = np.multiply(dist, n, dtype=keys.dtype)
-        key += index
+    for sl, key in blocks:
         key.partition(k - 1, axis=1)
         keys[sl] = key[:, :k]
     return keys
@@ -178,12 +233,10 @@ def _select(keys: np.ndarray, blocks, index: np.ndarray, n: int) -> np.ndarray:
 def _nearest(lead_q: np.ndarray, q_packed: np.ndarray):
     """(nearest, delta): the index into the packed leaders `lead_q` of each
     packed query's nearest leader (the lower on a tie), and its distance."""
-    to_leader = np.concatenate([dist for _, dist in _hamming_cols(
-        lead_q, np.ascontiguousarray(q_packed.T))])
-    key = np.multiply(to_leader, len(lead_q), dtype=np.intp)
-    key += np.arange(len(lead_q))[:, None]
-    delta, nearest = np.divmod(key.min(axis=0), len(lead_q))
-    return nearest, delta
+    keys, dist, half = _row_keys(len(lead_q), len(q_packed), lead_q.shape[1])
+    for sl, block in _hamming_cols(lead_q, np.ascontiguousarray(q_packed.T)):
+        dist[sl] = block
+    return _decode(keys.min(axis=0), half)
 
 
 def _span(length: np.ndarray, n: int) -> np.ndarray:
@@ -221,7 +274,9 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     T being the k-th distance. So q scans only the prefix of p's rows in
     (distance from p, index) order up to that bound, rounded up to a power
     of two, in one batch with the other queries of the same leader and
-    length; the key still carries the row's own index.
+    length; the batch's kernel call takes those rows' own indices, so each
+    key still carries its row's index. `keys` and `index` are in
+    `hamming_topk`'s layout.
 
     The other queries take the dense pass instead when the plan does not
     pay (`_pays`), judged first on the queries midway between leaders, a
@@ -230,13 +285,17 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     plan: that cost 4% of a 2000x240 self-join.
     """
     (m, k), (words, n) = keys.shape, cols.shape
+    half = 4 * keys.itemsize
     step = -(-m // _LEADERS)
     leaders = np.arange(0, m, step)
     lead_q = q_packed[leaders]
-    blocks = list(_hamming_cols(lead_q, cols))
-    keys[leaders] = _select(np.empty((len(leaders), k), keys.dtype), blocks, index, n)
-    kth = keys[leaders].max(axis=1) // n
-    lead_dist = np.concatenate([dist for _, dist in blocks])
+    lead_keys = np.empty((len(leaders), n), keys.dtype)
+    for sl, key in _hamming_cols(lead_q, cols, index):
+        lead_keys[sl] = key
+    lead_dist = np.ascontiguousarray(_high(lead_keys, _distance_dtype(words)))
+    keys[leaders] = _select(np.empty((len(leaders), k), keys.dtype),
+                            [(slice(None), lead_keys)])
+    kth = keys[leaders].max(axis=1) >> half
     rest = np.delete(np.arange(m), leaders)
     top = 64 * words  # the largest distance; the bounds are cut to it
 
@@ -266,11 +325,11 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
                 p_cols, p_index = cols[:, order], order.astype(keys.dtype)
                 for s, rows in zip(size[lo:hi], batches[lo:hi]):
                     keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
-                                         _hamming_cols(q_packed[rows], p_cols[:, :s]),
-                                         p_index[:s], n)
+                                         _hamming_cols(q_packed[rows], p_cols[:, :s],
+                                                       p_index[:s]))
             return
     keys[rest] = _select(np.empty((len(rest), k), keys.dtype),
-                         _hamming_cols(q_packed[rest], cols), index, n)
+                         _hamming_cols(q_packed[rest], cols, index))
 
 
 def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
@@ -278,26 +337,26 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
     """The k nearest packed rows to each packed query, as (indices, distances).
 
     Both are (queries, k), ordered by (distance, row index), so a boundary
-    tie goes to the lower index. The row index rides in the low part of the
-    partition key `distance * n + index`, which makes every key unique; the
-    key is cast from the narrow distances by the multiply itself. A dense
-    pass spanning more than 16 blocks is pruned exactly: see
-    `_select_pruned`.
+    tie goes to the lower index. The row index rides in the low half of the
+    partition key `distance << half | index` (`_key_layout`), which makes
+    every key unique; the kernel prefills each key with its index and
+    writes the distance into the high half. A dense pass spanning more than
+    16 blocks is pruned exactly: see `_select_pruned`.
     """
     n, words = packed_rows.shape
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     cols = _word_major(q_packed, packed_rows)
     m = q_packed.shape[0]
-    dtype = _key_dtype(n, words)
+    dtype, half = _key_layout(n, words)
     keys = np.empty((m, k), dtype=dtype)
     index = np.arange(n, dtype=dtype)
     if k and 8 * m * n > 16 * BLOCK_BYTES:
         _select_pruned(keys, q_packed, cols, index)
     else:
-        _select(keys, _hamming_cols(q_packed, cols), index, n)
+        _select(keys, _hamming_cols(q_packed, cols, index))
     keys.sort(axis=1)
-    return keys % n, keys // n
+    return _decode(keys, half)
 
 
 class BinaryVector:

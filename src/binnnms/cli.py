@@ -108,8 +108,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_labels(path: Path, labels: np.ndarray) -> None:
-    path.write_text("index,label\n" + "".join(
-        f"{i},{lab}\n" for i, lab in enumerate(labels.tolist())))
+    """A header, then one `index,label` line per label, formatted by one
+    `%` over the interleaved indices and labels."""
+    pairs = np.column_stack([np.arange(len(labels)), labels]).ravel().tolist()
+    path.write_text("index,label\n" + ("%d,%d\n" * len(labels)) % tuple(pairs))
 
 
 def _write_prototypes(path: Path, prototypes: np.ndarray) -> None:

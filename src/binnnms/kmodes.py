@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import _distance_dtype, _hamming_cols, _key_dtype, pack_bits, unique_rows
+from .binvec import _decode, _hamming_cols, _row_keys, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -30,9 +30,9 @@ class KModesResult:
 
 def _refresh_rows(cols: np.ndarray, dist: np.ndarray, proto: np.ndarray,
                   rows: np.ndarray) -> None:
-    """Recompute rows `rows` of the (k, n) distance matrix `dist` for their
-    prototypes `proto[rows]`, in one kernel call over `cols`, the data's
-    packed rows word-major."""
+    """Recompute rows `rows` of the (k, n) distance matrix `dist`, a view
+    into the key matrix of `kmodes_run`, for their prototypes `proto[rows]`,
+    in one kernel call over `cols`, the data's packed rows word-major."""
     if rows.size:
         for sl, block in _hamming_cols(pack_bits(proto[rows]), cols):
             dist[rows[sl]] = block
@@ -64,23 +64,20 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
 
     labels = np.full(data.n, -1, dtype=np.int64)
     history: list[float] = []
-    # row j of dist holds the distances to proto[j]; a row depends only on
-    # its prototype, so only the rows in `moved` are ever recomputed
-    words = data.packed.shape[1]
+    # row j of keys holds `distance << half | j` for each data row, its
+    # distances to proto[j] written into `dist`, the keys' high half; a row
+    # depends only on its prototype, so only the rows in `moved` are ever
+    # recomputed
     cols = np.ascontiguousarray(data.packed.T)
-    dist = np.empty((k, data.n), dtype=_distance_dtype(words))
+    keys, dist, half = _row_keys(k, data.n, data.packed.shape[1])
     moved = np.arange(k)
-    # each row's least key `distance * k + j` over the clusters j: the key
-    # is unique, so ties go to the lowest j
-    key_type = _key_dtype(k, words)
-    cluster = np.arange(k, dtype=key_type)[:, None]
     for iterations in range(1, max_iter + 1):
         _refresh_rows(cols, dist, proto, moved)
-        key = np.multiply(dist, k, dtype=key_type)
-        key += cluster
-        key = key.min(axis=0)
-        new_labels = (key % k).astype(np.int64)
-        total = float((key // k).sum())
+        # each row's least key over the clusters: the key is unique, so
+        # ties go to the lowest cluster
+        nearest, to_nearest = _decode(keys.min(axis=0), half)
+        new_labels = nearest.astype(np.int64)
+        total = float(to_nearest.sum())
         history.append(total)
         if np.array_equal(new_labels, labels):
             break

@@ -305,8 +305,23 @@ class TestHammingTopk:
         packed = pack_bits(bits)
         want_idx, want_dist = hamming_topk(packed[:40], packed, 25)
         assert want_idx.dtype == np.int32
-        monkeypatch.setattr(binvec, "_key_dtype", lambda n, words: np.int64)
+        monkeypatch.setattr(binvec, "_key_layout", lambda n, words: (np.int64, 32))
         idx, dist = hamming_topk(packed[:40], packed, 25)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    def test_int64_keys_select_the_same_when_pruned(self, monkeypatch):
+        # the k1 = 20 round 2 of the noisy 5000x64 shape: pruned into batches
+        bits, _, _ = planted_bits(5000, 64, 10, 0.2, 1)
+        data = Dataset(bits)
+        (_, x1), = ascend_bits(data, bits, 20, j_max=1).rounds
+        q = pack_bits(x1[:2000])
+        want_idx, want_dist = hamming_topk(q, data.packed, 20)
+        pairs = TestPrunedTopk.spied(monkeypatch)
+        monkeypatch.setattr(binvec, "_key_layout", lambda n, words: (np.int64, 32))
+        idx, dist = hamming_topk(q, data.packed, 20)
+        assert pairs[0] < 0.5 * len(q) * data.n
         assert idx.dtype == np.int64
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(dist, want_dist)
@@ -335,9 +350,9 @@ class TestPrunedTopk:
         scans from then on."""
         kernel, pairs = binvec._hamming_cols, [0]
 
-        def spy(q_packed, cols):
+        def spy(q_packed, cols, index=None):
             pairs[0] += len(q_packed) * cols.shape[1]
-            return kernel(q_packed, cols)
+            return kernel(q_packed, cols, index)
 
         monkeypatch.setattr(binvec, "_hamming_cols", spy)
         return pairs
@@ -450,15 +465,33 @@ class TestUniqueRows:
         assert inverse.tolist() == [2, 1, 0]
 
 
-class TestKeyDtype:
-    @pytest.mark.parametrize("words", [1, 4, 100])
-    def test_int32_exactly_while_every_key_fits(self, words):
-        top = np.iinfo(np.int32).max
-        n = top // (64 * words + 1)
-        # the largest key: distance 64 * words at row index n - 1
-        assert 64 * words * n + (n - 1) <= top
-        assert binvec._key_dtype(n, words) == np.int32
-        assert binvec._key_dtype(n + 1, words) == np.int64
+class TestKeyLayout:
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**20])
+    @pytest.mark.parametrize("words", [1, 4, 511, 512, 1000])
+    def test_int32_exactly_while_index_and_distance_fit(self, n, words):
+        int32 = n <= 2**16 and 64 * words < 2**15
+        assert binvec._key_layout(n, words) == ((np.int32, 16) if int32 else (np.int64, 32))
+
+    @pytest.mark.parametrize("n,words", [(2**16, 511), (2**20, 512), (3, 1)])
+    def test_largest_key_decodes_to_itself(self, n, words):
+        # distance 64 * words at index n - 1, through the kernel's own writes
+        dtype, half = binvec._key_layout(n, words)
+        key = np.array([n - 1], dtype=dtype)
+        binvec._high(key, binvec._distance_dtype(words))[:] = 64 * words
+        assert key[0] >= 0
+        assert key & (1 << half) - 1 == n - 1
+        assert key >> half == 64 * words
+
+    @pytest.mark.parametrize("key_dtype,half", [(np.int32, 16), (np.int64, 32)])
+    @pytest.mark.parametrize("dist_dtype", [np.uint8, np.uint16])
+    def test_one_through_the_high_view_is_one_high(self, key_dtype, half, dist_dtype):
+        keys = np.zeros((3, 5), dtype=key_dtype)
+        high = binvec._high(keys, dist_dtype)
+        assert high.shape == keys.shape and high.dtype == dist_dtype
+        high[1, 2] = 1
+        want = np.zeros((3, 5), dtype=key_dtype)
+        want[1, 2] = 1 << half
+        assert np.array_equal(keys, want)
 
 
 class TestCoding:

@@ -556,7 +556,7 @@ class TestWriters:
         want = "".join(" ".join(str(b) for b in p) + "\n" for p in protos.tolist())
         assert (tmp_path / "p.txt").read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
     def test_labels_match_per_line_formatter(self, tmp_path, n):
         labels = np.random.default_rng(n).integers(0, 300, size=n)
         _write_labels(tmp_path / "l.csv", labels)

@@ -248,6 +248,27 @@ class TestReference:
         # some iteration after a run's first recomputed fewer than k rows
         assert any(m < run[0] for run in sent for m in run[1:])
 
+    def test_int64_keys_run_the_same(self, monkeypatch):
+        # the reseed rows empty a cluster; the planted rows span 4 words and
+        # stop at max_iter 2 before they converge
+        rng = np.random.default_rng(5)
+        planted = rng.integers(0, 2, size=(6, 240))[rng.integers(0, 6, 500)]
+        planted ^= rng.random(planted.shape) < 0.1
+        cases = [(dataset(RESEED_ROWS), 3, 11756, 100)] + [
+            (Dataset(planted), 6, seed, max_iter)
+            for seed in range(3) for max_iter in (2, 100)]
+        want = [kmodes_run(ds, k, seed=seed, max_iter=max_iter)
+                for ds, k, seed, max_iter in cases]
+        monkeypatch.setattr(binnnms.binvec, "_key_layout", lambda n, words: (np.int64, 32))
+        for (ds, k, seed, max_iter), w in zip(cases, want):
+            res = kmodes_run(ds, k, seed=seed, max_iter=max_iter)
+            assert np.array_equal(res.labels, w.labels)
+            assert np.array_equal(res.prototypes, w.prototypes)
+            assert res.inertia_history == w.inertia_history
+            assert (res.total_inertia, res.iterations) == (w.total_inertia, w.iterations)
+        # some max_iter 2 run stopped before its max_iter 100 twin converged
+        assert any(a.iterations < b.iterations for a, b in zip(want[1::2], want[2::2]))
+
     def test_one_word_major_copy_per_run(self, monkeypatch):
         # every kernel call of a run scans the same word-major copy of the
         # data, built once; each restart builds its own
