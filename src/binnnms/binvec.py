@@ -200,10 +200,11 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
     per-block temporary within BLOCK_BYTES.
 
     The distances come in the narrowest unsigned type that holds 64 * words
-    (uint8 up to 3 words, uint16 above), so mind wraparound in arithmetic on
-    them. The rows are copied word-major once per call. Queries and rows of
-    different word counts raise DimensionMismatch; equal counts cannot tell
-    a 10-bit row from a 64-bit one, so callers check d.
+    (uint8 up to 3 words, uint16 up to 1023, uint32 from 1024 words, that is
+    65,473 bits), so mind wraparound in arithmetic on them. The rows are
+    copied word-major once per call. Queries and rows of different word
+    counts raise DimensionMismatch; equal counts cannot tell a 10-bit row
+    from a 64-bit one, so callers check d.
     """
     return _hamming_cols(q_packed, _word_major(q_packed, packed_rows))
 
@@ -211,10 +212,11 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
 # Every ceil(m / _LEADERS)-th query of a pruned `hamming_topk` is a leader.
 # Measured on the round-2 and round-3 iterates of the k1 = 20 ascent at
 # 5000x64 with 20% flips (seeds 1 and 4): 8 leaders planned 0.33-0.40 of
-# the dense pairs in round 3, and their sample fell back in round 2; 16
-# planned 0.12-0.15 in both rounds; 32 planned 0.12-0.14, with the prefix
-# lengths rounded up to powers of two, and the ascent's top-k total was no
-# faster (61.5-68.0 ms against 61.7-68.9 ms) for twice the leader pass.
+# the dense pairs in round 3, and their plan, judged on a sample, fell back
+# in round 2; 16 planned 0.12-0.15 in both rounds; 32 planned 0.12-0.14,
+# with the prefix lengths rounded up to powers of two, and the ascent's
+# top-k total was no faster (61.5-68.0 ms against 61.7-68.9 ms) for twice
+# the leader pass.
 _LEADERS = 16
 
 
@@ -253,14 +255,11 @@ def _span(length: np.ndarray, n: int) -> np.ndarray:
 _BATCH_WEIGHT = 0.25
 
 
-def _pays(groups: np.ndarray, counts, n: int, m: int) -> bool:
-    """Whether batches of `counts` queries, one per distinct key of `groups`
-    (leader * (n + 1) + prefix length), cost less than half a dense pass
-    of m queries over n rows, each batch weighing _BATCH_WEIGHT blocks
-    beyond its area."""
-    size = groups % (n + 1)
-    batches = _BATCH_WEIGHT * len(groups) * BLOCK_BYTES
-    return 2 * (batches + 8 * (size * counts).sum()) < 8 * m * n
+def _pays(size: np.ndarray, batches: int, n: int, m: int) -> bool:
+    """Whether `batches` batches over the per-query prefix sizes `size`
+    cost less than half a dense pass of m queries over n rows, each batch
+    weighing _BATCH_WEIGHT blocks beyond its area."""
+    return 2 * (_BATCH_WEIGHT * batches * BLOCK_BYTES + 8 * size.sum()) < 8 * m * n
 
 
 def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
@@ -279,15 +278,14 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     `hamming_topk`'s layout.
 
     The other queries take the dense pass instead when the plan does not
-    pay (`_pays`), judged first on the queries midway between leaders, a
-    sample planned on its own, then on the full plan. The sample spares a
-    pass that no bound prunes, such as a self-join of noisy rows, the full
-    plan: that cost 4% of a 2000x240 self-join.
+    pay (`_pays`). The plan costs a histogram of the leaders' distances, one
+    (leaders, queries) pass and one sort of the queries, so a pass that no
+    bound prunes, such as round 1's self-join of noisy rows, pays that on
+    top of the dense pass: about 0.5 ms of the 37 ms at 5000x64.
     """
     (m, k), (words, n) = keys.shape, cols.shape
     half = 4 * keys.itemsize
-    step = -(-m // _LEADERS)
-    leaders = np.arange(0, m, step)
+    leaders = np.arange(0, m, -(-m // _LEADERS))
     lead_q = q_packed[leaders]
     lead_keys = np.empty((len(leaders), n), keys.dtype)
     for sl, key in _hamming_cols(lead_q, cols, index):
@@ -299,37 +297,33 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     rest = np.delete(np.arange(m), leaders)
     top = 64 * words  # the largest distance; the bounds are cut to it
 
-    # the sample's own batches, each standing for len(rest) / len(sample)
-    # queries: at most as many batches as the full plan, about its area
-    nearest, delta = _nearest(lead_q, q_packed[step // 2::step])
-    bound = np.minimum(kth[nearest] + 2 * delta, top).astype(lead_dist.dtype)
-    span = _span((lead_dist[nearest] <= bound[:, None]).sum(axis=1), n)
-    groups, counts = np.unique(nearest * (n + 1) + span, return_counts=True)
-    if _pays(groups, counts * len(rest) / len(span), n, m):
-        nearest, delta = _nearest(lead_q, q_packed[rest])
-        # within[p, t]: the rows within distance t of leader p
-        offset = (top + 1) * np.arange(len(leaders))[:, None]
-        within = np.bincount((lead_dist + offset).ravel(), minlength=offset.size * (top + 1))
-        within = within.reshape(len(leaders), top + 1).cumsum(axis=1)
-        span = _span(within[nearest, np.minimum(kth[nearest] + 2 * delta, top)], n)
-        groups, inverse, counts = np.unique(nearest * (n + 1) + span,
-                                            return_inverse=True, return_counts=True)
-        if _pays(groups, counts, n, m):
-            leader, size = np.divmod(groups, n + 1)
-            batches = np.split(rest[np.argsort(inverse, kind="stable")],
-                               np.cumsum(counts)[:-1])
-            for p in np.unique(leader):
-                lo, hi = np.searchsorted(leader, [p, p + 1])
-                # p's rows in (distance from p, index) order, up to its longest prefix
-                order = np.argsort(lead_dist[p], kind="stable")[:size[hi - 1]]
-                p_cols, p_index = cols[:, order], order.astype(keys.dtype)
-                for s, rows in zip(size[lo:hi], batches[lo:hi]):
-                    keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
-                                         _hamming_cols(q_packed[rows], p_cols[:, :s],
-                                                       p_index[:s]))
-            return
-    keys[rest] = _select(np.empty((len(rest), k), keys.dtype),
-                         _hamming_cols(q_packed[rest], cols, index))
+    # within[p, t]: the rows within distance t of leader p
+    offset = (top + 1) * np.arange(len(leaders))[:, None]
+    within = np.bincount((lead_dist + offset).ravel(), minlength=offset.size * (top + 1))
+    within = within.reshape(len(leaders), top + 1).cumsum(axis=1)
+    nearest, delta = _nearest(lead_q, q_packed[rest])
+    span = _span(within[nearest, np.minimum(kth[nearest] + 2 * delta, top)], n)
+    # the batches: runs of one group key (leader, span), in the stable order
+    # of one sort of the unique keys `group * len(rest) + position`
+    group, order = np.divmod(np.sort((nearest * (n + 1) + span) * len(rest)
+                                     + np.arange(len(rest))), len(rest))
+    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(rest))
+    if _pays(span, len(bounds) - 1, n, m):
+        rest = rest[order]
+        leader, size = np.divmod(group[bounds[:-1]], n + 1)
+        for p in np.unique(leader):
+            lo, hi = np.searchsorted(leader, [p, p + 1])
+            # p's rows in (distance from p, index) order, up to its longest prefix
+            p_order = np.argsort(lead_dist[p], kind="stable")[:size[hi - 1]]
+            p_cols, p_index = cols[:, p_order], p_order.astype(keys.dtype)
+            for s, a, b in zip(size[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1]):
+                rows = rest[a:b]
+                keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
+                                     _hamming_cols(q_packed[rows], p_cols[:, :s],
+                                                   p_index[:s]))
+    else:
+        keys[rest] = _select(np.empty((len(rest), k), keys.dtype),
+                             _hamming_cols(q_packed[rest], cols, index))
 
 
 def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,

@@ -409,15 +409,32 @@ class TestPrunedTopk:
                 want_idx, want_dist = stable_topk(q, rows, k)
                 assert np.array_equal(idx, want_idx)
                 assert np.array_equal(dist, want_dist)
-        # per call, the leader pass and the sample's distances to the
-        # leaders were all the work
-        assert pairs[0] == 3 * 3 * (10 * 200 + 10 * 10)
+        # per call, the leader pass was all the work
+        assert pairs[0] == 3 * 3 * 10 * 200
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_unprunable_pass_falls_back_once(self, monkeypatch, k):
+        # a self-join of uniformly random rows: each leader's k-th distance
+        # plus twice the distance to it reaches every row, so the plan does
+        # not pay. The work is the leader pass, the other queries' distances
+        # to the leaders, and one dense pass of those queries
+        monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
+        rows = pack_bits(np.random.default_rng(3).integers(0, 2, size=(200, 64)))
+        pairs = self.spied(monkeypatch)
+        idx, dist = hamming_topk(rows, rows, k)
+        want_idx, want_dist = stable_topk(rows, rows, k)
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        n = len(rows)
+        leaders = len(range(0, n, -(-n // binvec._LEADERS)))
+        rest = n - leaders
+        assert pairs[0] == leaders * n + leaders * rest + rest * n
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_ascent_rounds(self, monkeypatch, seed):
         # the k1 = 20 ascent on the cluster-noisy5k shape: round 1 queries
         # the 5000 noisy rows, which no bound prunes, so it scans the dense
-        # pairs plus at most the leader pass; the iterates of rounds 2 and 3
+        # pairs plus at most the leaders' passes over the rows and over the
+        # other queries; the iterates of rounds 2 and 3
         # lie near their centres and scan under 30% of the dense pairs.
         # Round 3 (hundreds of iterates, dozens of batches) is planned only
         # because a batch weighs a quarter of a block
