@@ -113,18 +113,6 @@ def _decode(keys: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     return keys & (1 << half) - 1, keys >> half
 
 
-def _row_keys(k: int, n: int, words: int):
-    """(keys, dist, half): a (k, n) key matrix whose row j holds
-    `distance << half | j` (`_key_layout` over k ids), with the ids written
-    and `dist`, the view of the keys' high half, left for the distances
-    over rows of `words` words. Each column's least key then names its
-    nearest row, the lower on a tie."""
-    dtype, half = _key_layout(k, words)
-    keys = np.empty((k, n), dtype=dtype)
-    np.copyto(keys, np.arange(k, dtype=dtype)[:, None])
-    return keys, _high(keys, _distance_dtype(words)), half
-
-
 def _count(q: np.ndarray, cols: np.ndarray, xor: np.ndarray, ones: np.ndarray,
            dist: np.ndarray) -> None:
     """Fill the (block, rows) `dist` with the distances from the packed
@@ -232,13 +220,32 @@ def _select(keys: np.ndarray, blocks) -> np.ndarray:
     return keys
 
 
-def _nearest(lead_q: np.ndarray, q_packed: np.ndarray):
-    """(nearest, delta): the index into the packed leaders `lead_q` of each
-    packed query's nearest leader (the lower on a tie), and its distance."""
-    keys, dist, half = _row_keys(len(lead_q), len(q_packed), lead_q.shape[1])
-    for sl, block in _hamming_cols(lead_q, np.ascontiguousarray(q_packed.T)):
-        dist[sl] = block
-    return _decode(keys.min(axis=0), half)
+class _Nearest:
+    """Which of k packed queries is nearest each of n packed rows, the lower
+    query on a tie. Row j of the (k, n) key matrix holds `distance << half
+    | j` (`_key_layout` over k ids), the ids written once; `dist`, the view
+    of the keys' high half, holds query j's distances in its row j, as
+    `write` last set them. The rows are copied word-major once."""
+
+    def __init__(self, k: int, packed_rows: np.ndarray):
+        self._cols = np.ascontiguousarray(packed_rows.T)
+        words = packed_rows.shape[1]
+        dtype, self._half = _key_layout(k, words)
+        self._keys = np.empty((k, len(packed_rows)), dtype=dtype)
+        np.copyto(self._keys, np.arange(k, dtype=dtype)[:, None])
+        self.dist = _high(self._keys, _distance_dtype(words))
+
+    def write(self, ids: np.ndarray, q_packed: np.ndarray) -> None:
+        """Rewrite the rows `ids` of `dist` with the distances from their
+        packed queries `q_packed`, in one kernel call (none for no ids)."""
+        if len(ids):
+            for sl, block in _hamming_cols(q_packed, self._cols):
+                self.dist[ids[sl]] = block
+
+    def nearest(self) -> tuple[np.ndarray, np.ndarray]:
+        """(query, distance) nearest each row, from one column minimum of
+        the keys: each is unique, so a tie goes to the lower query."""
+        return _decode(self._keys.min(axis=0), self._half)
 
 
 def _span(length: np.ndarray, n: int) -> np.ndarray:
@@ -268,14 +275,15 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     top-k (a pivot bound; Chavez et al., ACM CSUR 2001).
 
     Leaders take the dense pass. Every other query q takes its nearest
-    leader p, at delta = d(q, p). Each row r of q's top-k, a boundary tie
-    included, has d(p, r) <= d(q, r) + delta <= T_q + delta <= T_p + 2 delta,
-    T being the k-th distance. So q scans only the prefix of p's rows in
-    (distance from p, index) order up to that bound, rounded up to a power
-    of two, in one batch with the other queries of the same leader and
-    length; the batch's kernel call takes those rows' own indices, so each
-    key still carries its row's index. `keys` and `index` are in
-    `hamming_topk`'s layout.
+    leader p, at delta = d(q, p), from one `_Nearest` pass, the routine
+    that also assigns k-modes' rows to prototypes. Each row r of q's
+    top-k, a boundary tie included, has d(p, r) <= d(q, r) + delta <=
+    T_q + delta <= T_p + 2 delta, T being the k-th distance. So q scans
+    only the prefix of p's rows in (distance from p, index) order up to
+    that bound, rounded up to a power of two, in one batch with the other
+    queries of the same leader and length; the batch's kernel call takes
+    those rows' own indices, so each key still carries its row's index.
+    `keys` and `index` are in `hamming_topk`'s layout.
 
     The other queries take the dense pass instead when the plan does not
     pay (`_pays`). The plan costs a histogram of the leaders' distances, one
@@ -301,7 +309,9 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     offset = (top + 1) * np.arange(len(leaders))[:, None]
     within = np.bincount((lead_dist + offset).ravel(), minlength=offset.size * (top + 1))
     within = within.reshape(len(leaders), top + 1).cumsum(axis=1)
-    nearest, delta = _nearest(lead_q, q_packed[rest])
+    near = _Nearest(len(leaders), q_packed[rest])
+    near.write(np.arange(len(leaders)), lead_q)
+    nearest, delta = near.nearest()
     span = _span(within[nearest, np.minimum(kth[nearest] + 2 * delta, top)], n)
     # the batches: runs of one group key (leader, span), in the stable order
     # of one sort of the unique keys `group * len(rest) + position`

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binvec import _decode, _hamming_cols, _row_keys, pack_bits, unique_rows
+from .binvec import _Nearest, pack_bits, unique_rows
 from .ingest import Dataset
 from .median import group_majority_bits
 
@@ -26,16 +26,6 @@ class KModesResult:
     @property
     def k(self) -> int:
         return len(self.prototypes)
-
-
-def _refresh_rows(cols: np.ndarray, dist: np.ndarray, proto: np.ndarray,
-                  rows: np.ndarray) -> None:
-    """Recompute rows `rows` of the (k, n) distance matrix `dist`, a view
-    into the key matrix of `kmodes_run`, for their prototypes `proto[rows]`,
-    in one kernel call over `cols`, the data's packed rows word-major."""
-    if rows.size:
-        for sl, block in _hamming_cols(pack_bits(proto[rows]), cols):
-            dist[rows[sl]] = block
 
 
 def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
@@ -64,18 +54,13 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
 
     labels = np.full(data.n, -1, dtype=np.int64)
     history: list[float] = []
-    # row j of keys holds `distance << half | j` for each data row, its
-    # distances to proto[j] written into `dist`, the keys' high half; a row
-    # depends only on its prototype, so only the rows in `moved` are ever
-    # recomputed
-    cols = np.ascontiguousarray(data.packed.T)
-    keys, dist, half = _row_keys(k, data.n, data.packed.shape[1])
+    # row j of near.dist holds the distances to proto[j]; a row depends only
+    # on its prototype, so only the rows in `moved` are ever recomputed
+    near = _Nearest(k, data.packed)
     moved = np.arange(k)
     for iterations in range(1, max_iter + 1):
-        _refresh_rows(cols, dist, proto, moved)
-        # each row's least key over the clusters: the key is unique, so
-        # ties go to the lowest cluster
-        nearest, to_nearest = _decode(keys.min(axis=0), half)
+        near.write(moved, pack_bits(proto[moved]))
+        nearest, to_nearest = near.nearest()
         new_labels = nearest.astype(np.int64)
         total = float(to_nearest.sum())
         history.append(total)
@@ -84,14 +69,14 @@ def kmodes_run(data: Dataset, k: int, seed: int = 0, max_iter: int = 100,
         labels = new_labels
         new_proto = group_majority_bits(data.bits, labels, k, tie_bits=proto)
         # an empty cluster's prototype is unchanged here (all its votes tie),
-        # so dist[j] still holds the distances to it
+        # so near.dist[j] still holds the distances to it
         for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
-            new_proto[j] = data.bits[dist[j].argmax()]
+            new_proto[j] = data.bits[near.dist[j].argmax()]
         moved = np.flatnonzero((new_proto != proto).any(axis=1))
         proto = new_proto
     else:  # stopped at max_iter: the moved rows predate the last update
-        _refresh_rows(cols, dist, proto, moved)
-        total = float(dist[labels, np.arange(data.n)].sum())
+        near.write(moved, pack_bits(proto[moved]))
+        total = float(near.dist[labels, np.arange(data.n)].sum())
     proto.flags.writeable = False
     return KModesResult(labels=labels, prototypes=proto, total_inertia=total,
                         iterations=iterations, seed=seed, inertia_history=history)

@@ -8,16 +8,24 @@ from .binvec import DimensionMismatch, bit_matrix, pack_bits
 from .ingest import Dataset
 
 
+class _LabelShapeError(ValueError, TypeError):
+    """Labels that are not 1-d. It is also a TypeError, which such labels
+    raised before (their rows are unhashable)."""
+
+
 def label_codes(labels) -> tuple[np.ndarray, int]:
     """(codes, count): each label's index among the `count` distinct labels,
     numbered in order of first appearance.
 
     A 1-d integer array of labels in [0, n) is coded without a Python pass
     or a sort (coding each integer array with `np.unique` made a 30-restart
-    k-modes command 5-8% slower); any other labels must be hashable.
+    k-modes command 5-8% slower); any other labels must be hashable. An
+    array or a nested list of labels that is not 1-d raises a ValueError
+    naming its shape.
     """
-    if (isinstance(labels, np.ndarray) and labels.ndim == 1
-            and labels.dtype.kind in "iu" and labels.size
+    if isinstance(labels, np.ndarray) and labels.ndim != 1:
+        raise _LabelShapeError(f"labels must be 1-d, got shape {labels.shape}")
+    if (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu" and labels.size
             and labels.min() >= 0 and labels.max() < labels.size):
         first = np.full(int(labels.max()) + 1, labels.size, dtype=np.intp)
         np.minimum.at(first, labels, np.arange(labels.size))
@@ -26,7 +34,13 @@ def label_codes(labels) -> tuple[np.ndarray, int]:
         rank[seen[np.argsort(first[seen])]] = np.arange(len(seen))
         return rank[labels], len(seen)
     labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
-    index = {u: i for i, u in enumerate(dict.fromkeys(labels))}
+    try:
+        index = {u: i for i, u in enumerate(dict.fromkeys(labels))}
+    except TypeError:
+        if any(isinstance(u, (list, np.ndarray)) for u in labels):
+            raise _LabelShapeError(
+                f"labels must be 1-d, got shape {np.shape(labels)}") from None
+        raise
     codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp,
                         count=len(labels))
     return codes, len(index)
@@ -101,11 +115,15 @@ def _arand(table: np.ndarray) -> float:
 
 def quantization_error(data: Dataset, labels, prototypes) -> float:
     """Mean Hamming distance from each point to its cluster's prototype:
-    point i's is row `labels[i]` of the (k, d) 0/1 matrix `prototypes`."""
+    point i's is row `labels[i]` of the (k, d) 0/1 matrix `prototypes`.
+    `labels` is a 1-d integer (not bool) vector with one label per point."""
     labels = np.asarray(labels)
     protos = bit_matrix(prototypes)
-    if labels.shape[0] != data.n:
-        raise ValueError("one label per data point required")
+    if labels.shape != (data.n,):
+        raise ValueError(f"one label per data point required: labels must have "
+                         f"shape ({data.n},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0:
         raise ValueError(f"negative cluster label {int(labels.min())}")
     if labels.max() >= len(protos):

@@ -459,6 +459,50 @@ class TestPrunedTopk:
             assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
 
 
+class TestNearest:
+    """`_Nearest`: which of k packed queries is nearest each packed row."""
+
+    @given(st.integers(1, 40), st.integers(1, 5), st.integers(1, 60),
+           st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_first_minimum(self, k, words, n, int64, seed, data):
+        # queries and rows drawn from one small pool, few bits flipped, so
+        # duplicates and ties abound; the rows of `dist` are written by two
+        # calls over disjoint id subsets and one empty call, in any order
+        rng = np.random.default_rng(seed)
+        d = data.draw(st.integers(64 * words - 63, 64 * words))
+        pool = rng.integers(0, 2, size=(data.draw(st.integers(1, 6)), d), dtype=np.uint8)
+        flip = data.draw(st.sampled_from([0, 0.02, 0.2]))
+
+        def draw(m):
+            return pack_bits(pool[rng.integers(0, len(pool), m)] ^ (rng.random((m, d)) < flip))
+
+        q, rows = draw(k), draw(n)
+        ids = rng.permutation(k)
+        cut = data.draw(st.integers(0, k))
+        parts = data.draw(st.permutations([ids[:cut], ids[cut:], ids[:0]]))
+        with pytest.MonkeyPatch.context() as mp:
+            if int64:
+                mp.setattr(binvec, "_key_layout", lambda n, words: (np.int64, 32))
+            kernel, calls = binvec._hamming_cols, []
+
+            def spy(q_packed, cols, index=None):
+                calls.append(len(q_packed))
+                return kernel(q_packed, cols, index)
+
+            mp.setattr(binvec, "_hamming_cols", spy)
+            near = binvec._Nearest(k, rows)
+            for part in parts:
+                near.write(part, q[part])
+            nearest, dist = near.nearest()
+        full = np.bitwise_count(q[:, None, :] ^ rows).sum(axis=2)
+        assert np.array_equal(near.dist, full)
+        assert np.array_equal(nearest, full.argmin(axis=0))  # the first minimum
+        assert np.array_equal(dist, full.min(axis=0))
+        assert sorted(calls) == sorted(len(p) for p in parts if len(p))  # none for no ids
+        assert nearest.dtype == (np.int64 if int64 else np.int32)
+
+
 class TestUniqueRows:
     @given(st.sampled_from([1, 7, 63, 64, 65, 130, 240]),
            st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))

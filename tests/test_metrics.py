@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,19 @@ class TestIntegerLabels:
             contingency(np.zeros((2, 2), dtype=np.int64), [0, 1])
         with pytest.raises(TypeError):
             scores([0, 1], np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 1), dtype=np.int64),
+                                     np.array([["a"], ["b"]]), np.array(1),
+                                     [[0], [1]], [["a"], ["b"]], [[0, 1], [1, 0]]])
+    def test_labels_that_are_not_1d_name_their_shape(self, bad):
+        # a ValueError for every scoring entry point, on either side, from
+        # an array or a nested list alike
+        shape = re.escape(f"1-d, got shape {np.shape(bad)}")
+        for call in (lambda: label_codes(bad), lambda: contingency(bad, [0, 1]),
+                     lambda: nmi([0, 1], bad), lambda: arand(bad, [0, 1]),
+                     lambda: scores([0, 1], bad)):
+            with pytest.raises(ValueError, match=shape):
+                call()
 
 
 class TestNmi:
@@ -192,6 +207,21 @@ class TestQuantizationError:
         ds = Dataset(np.array([[0, 0], [1, 1]]))
         with pytest.raises(ValueError):
             quantization_error(ds, [0, -1], protos("00", "11"))
+
+    @pytest.mark.parametrize("labels,match", [
+        ([[0], [1], [1]], r"shape \(3,\), got \(3, 1\)"),  # broadcast to a (3, 3) XOR
+        ([[0, 1, 1]], r"shape \(3,\), got \(1, 3\)"),
+        ([0, 1], r"shape \(3,\), got \(2,\)"),
+        ([False, True, True], "dtype bool"),
+        ([0.0, 1.0, 1.0], "dtype float64"),
+    ])
+    def test_labels_must_be_an_integer_vector(self, labels, match):
+        ds = Dataset(np.array([[0, 1], [1, 0], [1, 1]]))
+        with pytest.raises(ValueError, match=match):
+            quantization_error(ds, labels, protos("01", "10"))
+        valid = [0, 1, 1]
+        for good in (valid, np.array(valid, dtype=np.uint8), np.array(valid)):
+            assert quantization_error(ds, good, protos("01", "10")) == 1 / 3
 
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 240])
     def test_matches_brute_force_count(self, d):
