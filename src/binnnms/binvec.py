@@ -253,22 +253,6 @@ def _span(length: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(np.left_shift(1, np.frexp(length - 1)[1].astype(np.intp)), n)
 
 
-# What a planned batch costs beyond its area, in dense blocks: a dozen
-# NumPy calls (the kernel's set-up, the key, the partition, the scatter).
-# Measured at 5000 rows of 64 bits and k = 20 (2 vCPUs, numpy 2.4.6): a batch
-# of 1-2 queries over 32-64 rows takes 14.7-15.0 us, a dense block 60-62 us.
-# Weighed at 0.25 instead of 1, round 3 of the k1 = 20 ascent on that shape
-# is planned (about 8 -> 3.5-4 ms at seed 1) where it fell back.
-_BATCH_WEIGHT = 0.25
-
-
-def _pays(size: np.ndarray, batches: int, n: int, m: int) -> bool:
-    """Whether `batches` batches over the per-query prefix sizes `size`
-    cost less than half a dense pass of m queries over n rows, each batch
-    weighing _BATCH_WEIGHT blocks beyond its area."""
-    return 2 * (_BATCH_WEIGHT * batches * BLOCK_BYTES + 8 * size.sum()) < 8 * m * n
-
-
 def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
                    index: np.ndarray) -> None:
     """`_select` for every query, scanning only rows that can be in its
@@ -285,11 +269,12 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     those rows' own indices, so each key still carries its row's index.
     `keys` and `index` are in `hamming_topk`'s layout.
 
-    The other queries take the dense pass instead when the plan does not
-    pay (`_pays`). The plan costs a histogram of the leaders' distances, one
-    (leaders, queries) pass and one sort of the queries, so a pass that no
-    bound prunes, such as round 1's self-join of noisy rows, pays that on
-    top of the dense pass: about 0.5 ms of the 37 ms at 5000x64.
+    A query whose rounded bound reaches n, as round 1's self-join of noisy
+    rows does for almost all, joins one batch that scans `cols` and `index`
+    in place, with no leader order or gather. The plan costs a histogram of
+    the leaders' distances, one (leaders, queries) pass and one sort of the
+    queries: on a pass that no bound prunes about 0.5 ms of the 37 at
+    5000x64, on top of the dense pass.
     """
     (m, k), (words, n) = keys.shape, cols.shape
     half = 4 * keys.itemsize
@@ -313,27 +298,26 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     near.write(np.arange(len(leaders)), lead_q)
     nearest, delta = near.nearest()
     span = _span(within[nearest, np.minimum(kth[nearest] + 2 * delta, top)], n)
+    nearest[span == n] = len(leaders)  # the in-place batch, sorted last
     # the batches: runs of one group key (leader, span), in the stable order
     # of one sort of the unique keys `group * len(rest) + position`
     group, order = np.divmod(np.sort((nearest * (n + 1) + span) * len(rest)
                                      + np.arange(len(rest))), len(rest))
     bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(rest))
-    if _pays(span, len(bounds) - 1, n, m):
-        rest = rest[order]
-        leader, size = np.divmod(group[bounds[:-1]], n + 1)
-        for p in np.unique(leader):
-            lo, hi = np.searchsorted(leader, [p, p + 1])
-            # p's rows in (distance from p, index) order, up to its longest prefix
+    rest = rest[order]
+    leader, size = np.divmod(group[bounds[:-1]], n + 1)
+    for p in np.unique(leader):
+        lo, hi = np.searchsorted(leader, [p, p + 1])
+        if p == len(leaders):
+            p_cols, p_index = cols, index
+        else:  # p's rows in (distance from p, index) order, to its longest prefix
             p_order = np.argsort(lead_dist[p], kind="stable")[:size[hi - 1]]
             p_cols, p_index = cols[:, p_order], p_order.astype(keys.dtype)
-            for s, a, b in zip(size[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1]):
-                rows = rest[a:b]
-                keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
-                                     _hamming_cols(q_packed[rows], p_cols[:, :s],
-                                                   p_index[:s]))
-    else:
-        keys[rest] = _select(np.empty((len(rest), k), keys.dtype),
-                             _hamming_cols(q_packed[rest], cols, index))
+        for s, a, b in zip(size[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1]):
+            rows = rest[a:b]
+            keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
+                                 _hamming_cols(q_packed[rows], p_cols[:, :s],
+                                               p_index[:s]))
 
 
 def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,

@@ -393,7 +393,7 @@ class TestPrunedTopk:
             scanned[pairs[0] < len(q) * n] += 1
 
         check()
-        # the plan pruned some inputs and fell back on others
+        # the plan pruned some inputs and scanned every row in place on others
         assert scanned[True] and scanned[False]
 
     def test_every_query_a_leader(self, monkeypatch):
@@ -413,11 +413,12 @@ class TestPrunedTopk:
         assert pairs[0] == 3 * 3 * 10 * 200
 
     @pytest.mark.parametrize("k", [1, 10])
-    def test_unprunable_pass_falls_back_once(self, monkeypatch, k):
+    def test_unprunable_pass_scans_in_place_once(self, monkeypatch, k):
         # a self-join of uniformly random rows: each leader's k-th distance
-        # plus twice the distance to it reaches every row, so the plan does
-        # not pay. The work is the leader pass, the other queries' distances
-        # to the leaders, and one dense pass of those queries
+        # plus twice the distance to it reaches every row, so every other
+        # query joins the in-place batch. The work is the leader pass, the
+        # other queries' distances to the leaders, and one pass of those
+        # queries over all the rows
         monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
         rows = pack_bits(np.random.default_rng(3).integers(0, 2, size=(200, 64)))
         pairs = self.spied(monkeypatch)
@@ -434,10 +435,8 @@ class TestPrunedTopk:
         # the k1 = 20 ascent on the cluster-noisy5k shape: round 1 queries
         # the 5000 noisy rows, which no bound prunes, so it scans the dense
         # pairs plus at most the leaders' passes over the rows and over the
-        # other queries; the iterates of rounds 2 and 3
-        # lie near their centres and scan under 30% of the dense pairs.
-        # Round 3 (hundreds of iterates, dozens of batches) is planned only
-        # because a batch weighs a quarter of a block
+        # other queries; the iterates of rounds 2 and 3 lie near their
+        # centres and scan under 30% of the dense pairs
         bits, _, _ = planted_bits(5000, 64, 10, 0.2, seed)
         data = Dataset(bits)
         pairs = self.spied(monkeypatch)
@@ -457,6 +456,22 @@ class TestPrunedTopk:
             assert pairs[0] < 0.3 * len(q) * n
             want_idx, want_dist = stable_topk(q, data.packed, 20)
             assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_partly_prunable_pass_runs_its_plan(self, monkeypatch, seed):
+        # round 2 of the k1 = 10 ascent on the cluster-noisy5k shape: the
+        # bound reaches every row for some iterates and prunes the others,
+        # so the pass scans about half the dense pairs
+        bits, _, _ = planted_bits(5000, 64, 10, 0.2, seed)
+        data = Dataset(bits)
+        (_, x1), = ascend_bits(data, bits, 10, j_max=1).rounds
+        q = pack_bits(x1[(x1 != bits).any(axis=1)])
+        q = q[unique_rows(q)[0]]
+        pairs = self.spied(monkeypatch)
+        idx, dist = hamming_topk(q, data.packed, 10)
+        assert pairs[0] < 0.65 * len(q) * data.n
+        want_idx, want_dist = stable_topk(q, data.packed, 10)
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
 
 
 class TestNearest:

@@ -658,6 +658,33 @@ class TestSummary:
         assert out["n"] == 24 and out["d"] == 10
         assert out["num_classes"] == 2
 
+    def test_label_column_by_header_name(self, tmp_path, capsys):
+        f = tmp_path / "named.csv"
+        f.write_text("a,b,cls\n0,1,x\n1,0,y\n1,1,x\n")
+        rc = main(["summary", "--data", str(f), "--header", "--label-column", "cls"])
+        assert rc == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == 3 and out["d"] == 2 and out["num_classes"] == 2
+
+    @pytest.mark.parametrize("header, name", [(["--header"], "nope"), ([], "cls")],
+                             ids=["unknown-name", "no-header"])
+    def test_label_column_name_not_in_header_is_data_error(self, tmp_path, capsys,
+                                                          header, name):
+        f = tmp_path / "named.csv"
+        f.write_text("a,b,cls\n0,1,x\n1,0,y\n")
+        rc = main(["summary", "--data", str(f), *header, "--label-column", name])
+        assert rc == EXIT_DATA
+        assert f"label column {name!r} not found in header" in capsys.readouterr().err
+
+    def test_schema_of_comments_only_is_data_error(self, tmp_path, capsys):
+        schema = tmp_path / "s.schema"
+        schema.write_text("# no features here\n")
+        f = tmp_path / "d.csv"
+        f.write_text("a\n")
+        rc = main(["summary", "--data", str(f), "--schema", str(schema)])
+        assert rc == EXIT_DATA
+        assert f"data error: {schema}: schema declares no features" in capsys.readouterr().err
+
 
 class TestUciDataErrors:
     @pytest.mark.parametrize("fmt, text", [

@@ -26,6 +26,7 @@ from binnnms.ingest import (
     load_categorical_csv,
     load_digits,
     load_soybean,
+    load_uci,
     load_zoo,
     parse_schema_file,
     write_binary_csv,
@@ -43,6 +44,11 @@ class TestDataset:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[0, 2]]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no-rows", "no-columns"])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            Dataset(np.zeros(shape, dtype=np.uint8))
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
@@ -683,3 +689,8 @@ class TestSummary:
     def test_without_labels(self):
         s = dataset_summary(Dataset(np.array([[0, 1]])))
         assert "num_classes" not in s
+
+
+def test_load_uci_unknown_name(tmp_path):
+    with pytest.raises(ValueError, match="unknown dataset 'nope'"):
+        load_uci("nope", tmp_path / "nope.data")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binnnms.binvec import BinaryVector
+from binnnms.binvec import BinaryVector, DimensionMismatch
 from binnnms.ingest import Dataset
 from binnnms.kde import aa_kernel, kde_estimate, kde_gradient
 
@@ -55,6 +55,10 @@ class TestEstimate:
     def test_two_point_example(self):
         ds = dataset(["00", "11"])
         assert kde_estimate(ds, bv("00"), 0.8) == pytest.approx(0.34)
+
+    def test_point_of_another_width(self):
+        with pytest.raises(DimensionMismatch):
+            kde_estimate(dataset(["00", "11"]), bv("001"), 0.8)
 
     def test_log_space_agrees_with_linear(self):
         # d = 40 forces the log-space branch; compare to direct evaluation

@@ -74,6 +74,12 @@ class TestKModesRun:
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
             kmodes_repeated(ds, 2, runs=3, base_seed=-1)
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_1_to_n_rejected(self, k):
+        ds = dataset(["01", "10", "11"])
+        with pytest.raises(ValueError, match=rf"^k must be in \[1, 3\], got {k}$"):
+            kmodes_run(ds, k, seed=0)
+
     def test_k_exceeds_distinct_points(self):
         ds = dataset(["01", "01", "10"])
         with pytest.raises(ValueError):

@@ -36,6 +36,10 @@ class TestComputeEpsilon:
     def test_single_point_is_zero(self):
         assert Endpoints(bits("0101")).epsilon(1)[0] == 0.0
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown epsilon mode 'bogus'"):
+            Endpoints(bits("00", "01")).epsilon(1, "bogus")
+
     def test_k2_too_large(self):
         with pytest.raises(ValueError):
             Endpoints(bits("00", "01")).epsilon(2)
