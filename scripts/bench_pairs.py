@@ -13,7 +13,10 @@ for each metric: both sides' median and quartiles, the change's wins,
 losses and ties (direction from `better`), the relative change of the
 medians beside the metric's `bound`, and whether a claimed gain would hold:
 at least nine tenths of the pairs won (a tie counts for neither side) and a
-median gap wider than the parent's interquartile range. With more than one
+median gap wider than the parent's interquartile range. A metric whose
+parent spread (interquartile range over median) is wider than its bound
+reads as unresolved, not unchanged, unless every change run beats every
+parent run; the line then ends with that verdict. With more than one
 workload, each workload's pairs and summary follow a `workload W` line.
 """
 
@@ -64,14 +67,23 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
                                             for side in (parent, change))
         rel = (c50 - p50) / abs(p50) if p50 else float("nan")
         worse = sign * rel > spec["bound"]
-        holds = wins >= 0.9 * len(pairs) and sign * (p50 - c50) > p75 - p25
+        iqr = p75 - p25
+        holds = wins >= 0.9 * len(pairs) and sign * (p50 - c50) > iqr
+        spread = iqr / abs(p50) if p50 else (float("inf") if iqr else 0.0)
+        if spread <= spec["bound"]:
+            verdict = ""
+        elif (sign * change).max() < (sign * parent).min():
+            verdict = (f"; parent spread {spread:.0%} > bound, but every change "
+                       "run beats every parent run")
+        else:
+            verdict = f"; unresolved (parent spread {spread:.0%} > bound)"
         lines.append(
             f"{name}: parent {p50:.6g} [{p25:.6g}, {p75:.6g}], "
             f"change {c50:.6g} [{c25:.6g}, {c75:.6g}] {spec['unit']}; "
             f"{wins} won, {losses} lost, {len(pairs) - wins - losses} tied; "
             f"median {rel:+.1%} (bound {spec['bound']:.0%}"
             f"{', beyond it' if worse else ''}); "
-            f"claim {'holds' if holds else 'does not hold'}")
+            f"claim {'holds' if holds else 'does not hold'}{verdict}")
     return lines
 
 

@@ -200,11 +200,10 @@ def hamming_blocks(q_packed: np.ndarray, packed_rows: np.ndarray):
 # Every ceil(m / _LEADERS)-th query of a pruned `hamming_topk` is a leader.
 # Measured on the round-2 and round-3 iterates of the k1 = 20 ascent at
 # 5000x64 with 20% flips (seeds 1 and 4): 8 leaders planned 0.33-0.40 of
-# the dense pairs in round 3, and their plan, judged on a sample, fell back
-# in round 2; 16 planned 0.12-0.15 in both rounds; 32 planned 0.12-0.14,
-# with the prefix lengths rounded up to powers of two, and the ascent's
-# top-k total was no faster (61.5-68.0 ms against 61.7-68.9 ms) for twice
-# the leader pass.
+# the dense pairs in round 3; 16 planned 0.12-0.15 in rounds 2 and 3; 32
+# planned 0.12-0.14, with the prefix lengths rounded up to powers of two,
+# and the ascent's top-k total was no faster (61.5-68.0 ms against
+# 61.7-68.9 ms) for twice the leader pass.
 _LEADERS = 16
 
 
@@ -258,53 +257,49 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
     """`_select` for every query, scanning only rows that can be in its
     top-k (a pivot bound; Chavez et al., ACM CSUR 2001).
 
-    Leaders take the dense pass. Every other query q takes its nearest
-    leader p, at delta = d(q, p), from one `_Nearest` pass, the routine
-    that also assigns k-modes' rows to prototypes. Each row r of q's
-    top-k, a boundary tie included, has d(p, r) <= d(q, r) + delta <=
-    T_q + delta <= T_p + 2 delta, T being the k-th distance. So q scans
-    only the prefix of p's rows in (distance from p, index) order up to
-    that bound, rounded up to a power of two, in one batch with the other
-    queries of the same leader and length; the batch's kernel call takes
-    those rows' own indices, so each key still carries its row's index.
-    `keys` and `index` are in `hamming_topk`'s layout.
+    Every ceil(m / _LEADERS)-th query is a leader, and one plain pass gives
+    each leader p its distances to every row and so T_p, its k-th distance.
+    Every query q, a leader included, takes its nearest leader p, at delta =
+    d(q, p), from one `_Nearest` pass, the routine that also assigns
+    k-modes' rows to prototypes; a leader's own is itself or an identical
+    lower leader, at delta = 0. Each row r of q's top-k, a boundary tie
+    included, has d(p, r) <= d(q, r) + delta <= T_q + delta <= T_p + 2
+    delta, T being the k-th distance. So q scans only the prefix of p's rows
+    in (distance from p, index) order up to that bound, rounded up to a
+    power of two, in one batch with the other queries of the same leader
+    and length; the batch's kernel call takes those rows' own indices, so
+    each key still carries its row's index. `keys` and `index` are in
+    `hamming_topk`'s layout.
 
     A query whose rounded bound reaches n, as round 1's self-join of noisy
     rows does for almost all, joins one batch that scans `cols` and `index`
-    in place, with no leader order or gather. The plan costs a histogram of
-    the leaders' distances, one (leaders, queries) pass and one sort of the
-    queries: on a pass that no bound prunes about 0.5 ms of the 37 at
+    in place, with no leader order or gather. The plan costs the leader
+    pass, a histogram of its distances, one (leaders, queries) pass and one
+    sort of the queries, and each leader's own prefix a sort of its row and
+    a short batch: on a pass that no bound prunes about 0.8 ms of the 37 at
     5000x64, on top of the dense pass.
     """
     (m, k), (words, n) = keys.shape, cols.shape
-    half = 4 * keys.itemsize
     leaders = np.arange(0, m, -(-m // _LEADERS))
     lead_q = q_packed[leaders]
-    lead_keys = np.empty((len(leaders), n), keys.dtype)
-    for sl, key in _hamming_cols(lead_q, cols, index):
-        lead_keys[sl] = key
-    lead_dist = np.ascontiguousarray(_high(lead_keys, _distance_dtype(words)))
-    keys[leaders] = _select(np.empty((len(leaders), k), keys.dtype),
-                            [(slice(None), lead_keys)])
-    kth = keys[leaders].max(axis=1) >> half
-    rest = np.delete(np.arange(m), leaders)
+    lead_dist = np.concatenate([dist for _, dist in _hamming_cols(lead_q, cols)])
     top = 64 * words  # the largest distance; the bounds are cut to it
 
-    # within[p, t]: the rows within distance t of leader p
+    # within[p, t]: the rows within distance t of leader p; T_p is the least
+    # t with k of them
     offset = (top + 1) * np.arange(len(leaders))[:, None]
     within = np.bincount((lead_dist + offset).ravel(), minlength=offset.size * (top + 1))
     within = within.reshape(len(leaders), top + 1).cumsum(axis=1)
-    near = _Nearest(len(leaders), q_packed[rest])
+    kth = (within < k).sum(axis=1)
+    near = _Nearest(len(leaders), q_packed)
     near.write(np.arange(len(leaders)), lead_q)
     nearest, delta = near.nearest()
     span = _span(within[nearest, np.minimum(kth[nearest] + 2 * delta, top)], n)
     nearest[span == n] = len(leaders)  # the in-place batch, sorted last
     # the batches: runs of one group key (leader, span), in the stable order
-    # of one sort of the unique keys `group * len(rest) + position`
-    group, order = np.divmod(np.sort((nearest * (n + 1) + span) * len(rest)
-                                     + np.arange(len(rest))), len(rest))
-    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), len(rest))
-    rest = rest[order]
+    # of one sort of the unique keys `group * m + query`
+    group, order = np.divmod(np.sort((nearest * (n + 1) + span) * m + np.arange(m)), m)
+    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), m)
     leader, size = np.divmod(group[bounds[:-1]], n + 1)
     for p in np.unique(leader):
         lo, hi = np.searchsorted(leader, [p, p + 1])
@@ -314,7 +309,7 @@ def _select_pruned(keys: np.ndarray, q_packed: np.ndarray, cols: np.ndarray,
             p_order = np.argsort(lead_dist[p], kind="stable")[:size[hi - 1]]
             p_cols, p_index = cols[:, p_order], p_order.astype(keys.dtype)
         for s, a, b in zip(size[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1]):
-            rows = rest[a:b]
+            rows = order[a:b]
             keys[rows] = _select(np.empty((len(rows), k), keys.dtype),
                                  _hamming_cols(q_packed[rows], p_cols[:, :s],
                                                p_index[:s]))
@@ -329,7 +324,9 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
     partition key `distance << half | index` (`_key_layout`), which makes
     every key unique; the kernel prefills each key with its index and
     writes the distance into the high half. A dense pass spanning more than
-    16 blocks is pruned exactly: see `_select_pruned`.
+    16 blocks is pruned exactly (see `_select_pruned`) when it has more
+    queries than `_LEADERS`; with no more, every query would be a leader,
+    so it stays dense.
     """
     n, words = packed_rows.shape
     if not 0 <= k <= n:
@@ -339,7 +336,7 @@ def hamming_topk(q_packed: np.ndarray, packed_rows: np.ndarray,
     dtype, half = _key_layout(n, words)
     keys = np.empty((m, k), dtype=dtype)
     index = np.arange(n, dtype=dtype)
-    if k and 8 * m * n > 16 * BLOCK_BYTES:
+    if k and m > _LEADERS and 8 * m * n > 16 * BLOCK_BYTES:
         _select_pruned(keys, q_packed, cols, index)
     else:
         _select(keys, _hamming_cols(q_packed, cols, index))

@@ -93,6 +93,14 @@ def _parse_int_list(spec: str) -> list[int]:
     return out
 
 
+def _delimiter(value: str) -> str:
+    """The argparse type of --delimiter: an empty one would split no cell,
+    so it is a usage error naming the flag."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 @contextmanager
 def _output(flag: str, path):
     """`path` as a Path; failing to create or open it is a config error (exit 1)."""
@@ -338,7 +346,7 @@ def _add_data_opts(p):
     p.add_argument("--format", default="auto",
                    choices=["auto", "binary", "categorical", *UCI_LOADERS],
                    help="input format; dataset names select raw UCI adapters")
-    p.add_argument("--delimiter", default=None)
+    p.add_argument("--delimiter", type=_delimiter, default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--label-column", default=None,
                    help="truth label column, by name or index")

@@ -61,6 +61,15 @@ class TestBinaryVector:
     def test_roundtrip_string(self):
         assert bv("0110").to01() == "0110"
 
+    def test_len_and_repr(self):
+        assert len(bv("0110")) == 4
+        assert repr(bv("0110")) == "BinaryVector('0110')"
+
+    def test_never_equals_what_is_not_a_vector(self):
+        # __eq__ answers NotImplemented, so Python falls back to identity
+        assert bv("0110").__eq__("0110") is NotImplemented
+        assert (bv("0110") == "0110") is False
+
 
 class TestHamming:
     def test_identity(self):
@@ -341,8 +350,8 @@ def stable_topk(q_packed, packed_rows, k):
 
 
 class TestPrunedTopk:
-    """`hamming_topk` above 16 blocks: leaders take the dense pass, every
-    other query scans a prefix of its nearest leader's rows."""
+    """`hamming_topk` above 16 blocks and 16 queries: every query, a leader
+    included, scans a prefix of its nearest leader's rows."""
 
     @staticmethod
     def spied(monkeypatch):
@@ -397,8 +406,9 @@ class TestPrunedTopk:
         assert scanned[True] and scanned[False]
 
     def test_every_query_a_leader(self, monkeypatch):
-        # 10 queries against 200 rows span 20 blocks of 800 bytes: each query
-        # is its own leader, so no query is left to plan
+        # 10 queries against 200 rows span 20 blocks of 800 bytes, but with
+        # no more queries than leaders there is no one but leaders to plan,
+        # so the pass stays dense
         monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
         rng = np.random.default_rng(7)
         rows = pack_bits(rng.integers(0, 2, size=(200, 65)))
@@ -409,16 +419,17 @@ class TestPrunedTopk:
                 want_idx, want_dist = stable_topk(q, rows, k)
                 assert np.array_equal(idx, want_idx)
                 assert np.array_equal(dist, want_dist)
-        # per call, the leader pass was all the work
+        # per call, one dense pass was all the work
         assert pairs[0] == 3 * 3 * 10 * 200
 
     @pytest.mark.parametrize("k", [1, 10])
     def test_unprunable_pass_scans_in_place_once(self, monkeypatch, k):
         # a self-join of uniformly random rows: each leader's k-th distance
         # plus twice the distance to it reaches every row, so every other
-        # query joins the in-place batch. The work is the leader pass, the
-        # other queries' distances to the leaders, and one pass of those
-        # queries over all the rows
+        # query joins the in-place batch. The work is the leader pass, every
+        # query's distances to the leaders, one pass of the other queries
+        # over all the rows, and each leader's own prefix: its rows within
+        # its k-th distance, rounded up to a power of two
         monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
         rows = pack_bits(np.random.default_rng(3).integers(0, 2, size=(200, 64)))
         pairs = self.spied(monkeypatch)
@@ -426,9 +437,28 @@ class TestPrunedTopk:
         want_idx, want_dist = stable_topk(rows, rows, k)
         assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
         n = len(rows)
-        leaders = len(range(0, n, -(-n // binvec._LEADERS)))
-        rest = n - leaders
-        assert pairs[0] == leaders * n + leaders * rest + rest * n
+        leaders = np.arange(0, n, -(-n // binvec._LEADERS))
+        full = np.bitwise_count(rows[leaders, None, :] ^ rows).sum(axis=2)
+        within = (full <= np.sort(full, axis=1)[:, k - 1, None]).sum(axis=1)
+        own = sum(min(1 << (int(c) - 1).bit_length(), n) for c in within)
+        rest = n - len(leaders)
+        assert pairs[0] == len(leaders) * n + len(leaders) * n + rest * n + own
+
+    def test_coinciding_leaders(self, monkeypatch):
+        # 8 distinct rows, each repeated 40 times: every leader has an
+        # identical lower leader, or is the lowest of its row, and either
+        # way is planned from it at delta = 0 and scans a prefix of 64 rows
+        monkeypatch.setattr(binvec, "BLOCK_BYTES", 8 * 100)
+        rng = np.random.default_rng(11)
+        rows = pack_bits(np.repeat(rng.integers(0, 2, size=(8, 65)), 40, axis=0))
+        pairs = self.spied(monkeypatch)
+        for k in (1, 7):
+            pairs[0] = 0
+            idx, dist = hamming_topk(rows, rows, k)
+            assert pairs[0] < len(rows) * len(rows) / 2
+            want_idx, want_dist = stable_topk(rows, rows, k)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(dist, want_dist)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_ascent_rounds(self, monkeypatch, seed):

@@ -770,6 +770,21 @@ class TestRawFileErrors:
             f"config error: {option[0]} does not apply to --format spect\n")
 
 
+class TestDelimiterOption:
+    @pytest.mark.parametrize("command", [
+        ["cluster", "--k1", "1", "--k2", "1"], ["sweep", "--k1", "1", "--k2", "1"],
+        ["encode", "--out", "o.csv"], ["summary"]], ids=lambda command: command[0])
+    def test_empty_is_usage_error_naming_its_flag(self, toy, tmp_path, capsys,
+                                                  monkeypatch, command):
+        # it exited 1 as "config error: empty separator", str.split's words
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, "--data", str(toy), "--delimiter", ""])
+        assert exit_.value.code == EXIT_USAGE
+        assert "error: argument --delimiter: must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [toy]  # no output written
+
+
 CAR_SCHEMA = ["--schema", str(ROOT / "data" / "schemas" / "car.schema")]
 
 

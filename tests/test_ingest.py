@@ -624,6 +624,16 @@ class TestSchemaFile:
         with pytest.raises(ValueError, match="vocab repeats"):
             Feature("x", "categorical", 2, "additive", ("1", "1"))
 
+    @pytest.mark.parametrize("args, message", [
+        (("x", "ordinal"), "unknown feature kind 'ordinal'"),
+        (("x", "categorical", 3, "additive", ("a", "b")), "vocab length must equal levels"),
+    ], ids=["unknown-kind", "vocab-length"])
+    def test_feature_rejects_what_no_schema_line_reaches(self, args, message):
+        # the parser builds only the two kinds, and categorical_feature
+        # counts the levels of a vocab, so only a direct call gets here
+        with pytest.raises(ValueError, match=message):
+            Feature(*args)
+
     def test_non_utf8_is_data_error(self, tmp_path):
         f = tmp_path / "s.schema"
         f.write_bytes(b"hair binary\n\xff binary\n")

@@ -99,6 +99,11 @@ class TestIntegerLabels:
             with pytest.raises(ValueError, match=shape):
                 call()
 
+    def test_unhashable_labels_that_are_not_lists_raise_as_python_does(self):
+        # only lists and arrays are read as a shape; a set stays a TypeError
+        with pytest.raises(TypeError, match="unhashable type: 'set'"):
+            nmi([{0}, {1}], [0, 1])
+
 
 class TestNmi:
     def test_identical(self):

@@ -101,6 +101,37 @@ def test_bench_pairs_summary(monkeypatch, capsys):
     assert calls[-1][:3] == ("change", "w", "2")  # the parent's pair 2 never ran
 
 
+def test_bench_pairs_marks_a_wide_parent_spread(monkeypatch, capsys):
+    # setup_s's parent quartiles span 39% of its median, beyond the 25%
+    # bound: unresolved while the runs overlap, resolved once every change
+    # run beats every parent run; the other metrics keep their lines
+    parent_setup = (0.08, 0.10, 0.14, 0.06)  # quartiles [0.075, 0.11], median 0.09
+    change_setup = {"overlap": (0.09, 0.07, 0.12, 0.08), "apart": (0.05, 0.04, 0.05, 0.03)}
+    seen = {}
+
+    def canned(argv, cwd, **kwargs):
+        option = dict(zip(argv[2::2], argv[3::2]))
+        setups = parent_setup if cwd.name == "parent" else change_setup[seen["case"]]
+        stdout = _run_output(1.0, setups[int(option["--seed"]) - 1], 40.0, 0.9)
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "subprocess", SimpleNamespace(run=canned))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "parent", "change",
+                                      "--workload", "w", "--pairs", "4"])
+    for case, verdict in (
+            ("overlap", "does not hold; unresolved (parent spread 39% > bound)"),
+            ("apart", "holds; parent spread 39% > bound, but every change run "
+                      "beats every parent run")):
+        seen["case"] = case
+        assert main() == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[5].startswith("setup_s: parent 0.09 [0.075, 0.11], change ")
+        assert out[5].endswith(f"claim {verdict}"), out[5]
+        assert out[4].endswith("claim does not hold")  # run_s: no spread
+        assert all(line.endswith("claim does not hold") for line in out[6:])
+
+
 def test_bench_pairs_summarizes_each_workload(monkeypatch, capsys):
     # two workloads of two pairs: run_s halves on "fast" and stays on "same";
     # each workload's pairs and summary follow its own header line
